@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import AssayError
 from repro.units import Cm2PerSecond, Seconds
@@ -114,9 +115,14 @@ class Fluid:
                 f"non-negative, got {self.wash_time_override}"
             )
 
-    @property
+    @cached_property
     def wash_time(self) -> Seconds:
-        """Wash time (s) needed to remove this fluid's residue."""
+        """Wash time (s) needed to remove this fluid's residue.
+
+        Computed on first use and kept on the instance (the schedulers
+        read it on every availability query); eq, hash and the
+        serialised form see only the declared fields.
+        """
         if self.wash_time_override is not None:
             return self.wash_time_override
         return wash_time_from_diffusion(self.diffusion_coefficient)

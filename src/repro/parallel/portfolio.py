@@ -74,7 +74,7 @@ from repro.place.annealing import (
     anneal_resume,
     anneal_start,
 )
-from repro.place.energy import ConnectionPriorities, placement_energy
+from repro.place.energy import ConnectionPriorities
 from repro.place.grid import ChipGrid
 
 __all__ = [
@@ -107,10 +107,9 @@ DEFAULT_PALETTE = (
     "batch:k=32:init=greedy",
 )
 
-#: Correction-pass budget for ``init=greedy`` arm seeds.  The full BA
-#: correction (10 passes of O(n^2) swap sweeps) costs more CPU than an
-#: entire rung on the scale tier; two passes capture most of the
-#: wirelength gain and leave the real correction to the anneal itself.
+#: Correction-pass budget for ``init=greedy`` arm seeds.  Two of the
+#: full BA correction's 10 passes capture most of its wirelength gain
+#: and leave the real correction to the anneal itself.
 GREEDY_INIT_PASSES = 2
 
 #: Pure-python palette used when numpy (the batch kernel) is absent.
@@ -634,13 +633,10 @@ def race_portfolio(
     winner_outcome = final_ranked[0]
     winner = winner_outcome.arm
     cp = winner_outcome.checkpoint
-    # Report an exact scalar energy, whatever engine won (bit-identical
-    # to the tracked value for incremental arms, the authoritative
-    # Eq. 3 number for batch arms).
-    exact_energy = placement_energy(cp.best_placement, priorities)
+    # Checkpoint energies are exact Eq. 3 values on every engine.
     result = AnnealingResult(
         placement=cp.best_placement,
-        energy=exact_energy,
+        energy=cp.best_energy,
         initial_energy=cp.initial_energy,
         accepted_moves=cp.accepted_moves,
         trials=cp.trials,

@@ -30,9 +30,12 @@ more and trades the bit-level contract for a never-worse-energy gate
 
 Both engines consume the seeded RNG through the *identical* draw
 sequence and make identical accept/reject decisions, so a given seed
-yields the same best placement and — because the returned best energy
-is always a full Eq. 3 evaluation — bit-identical best energy.  The
-parity tests in ``tests/place/test_incremental.py`` assert this.
+yields the same best placement and the same best energy.  This holds by
+construction: Eq. 3 is exact integer arithmetic (see
+:mod:`repro.place.energy`), so the incremental engine's delta over the
+moved nets *is* the reference engine's difference of two full
+evaluations.  The parity tests in ``tests/place/test_incremental.py``
+assert this.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ from time import perf_counter
 
 from repro.errors import PlacementError
 from repro.obs.instrument import Instrumentation
-from repro.place.energy import ConnectionPriorities, placement_energy
+from repro.place.energy import (
+    ENERGY_UNIT,
+    ConnectionPriorities,
+    energy_units,
+    placement_energy,
+)
 from repro.place.grid import ChipGrid
 from repro.place.incremental import PlacementWorkspace
 from repro.place.moves import random_move, random_placement
@@ -72,17 +80,6 @@ PLACEMENT_ENGINES = ("incremental", "batch", "reference")
 #: identically (``rng.choice`` on any length-3 sequence draws the same
 #: underlying integer).
 _MOVE_KINDS = ("translate", "swap", "rotate")
-
-#: Below this magnitude the incident-nets delta estimate cannot be
-#: trusted to carry the same *sign* as the reference engine's
-#: full-evaluation difference (symmetric moves have a true delta of
-#: exactly zero, and the two computations round differently), so the
-#: incremental engine falls back to the exact delta.  A wrong sign
-#: would desynchronise the engines' RNG streams: ``delta < 0`` accepts
-#: without drawing ``rng.random()``.  The estimate and the exact delta
-#: agree within ~1e-11, so any estimate beyond this threshold has a
-#: reliable sign.
-_EXACT_DELTA_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,8 @@ def anneal_placement(
         see the module docstring.
     verify:
         Incremental engine only: after every accepted move, assert the
-        accumulated energy agrees with a from-scratch Eq. 3 evaluation
-        within ``1e-9`` and the occupancy index matches the blocks.
+        move's delta equals the change of a from-scratch Eq. 3
+        evaluation exactly and the occupancy index matches the blocks.
         Slow; meant for tests and debugging.
     """
     if engine not in PLACEMENT_ENGINES:
@@ -396,66 +393,13 @@ def _anneal_incremental(
     instrumentation: Instrumentation | None,
     verify: bool = False,
 ) -> AnnealingResult:
-    """The incremental move loop over a :class:`PlacementWorkspace`."""
-    workspace = PlacementWorkspace(current, priorities)
-    current_energy = workspace.energy
-    initial_energy = current_energy
-    best_blocks = workspace.snapshot_blocks()
-    best_energy = current_energy
-
-    accepted = 0
-    trials = 0
-    trace: list[float] = []
-    exp = math.exp
-    temperature = params.initial_temperature
-    while temperature > params.min_temperature:
-        step_started = perf_counter()
-        step_accepted = 0
-        step_trials = 0
-        for _ in range(params.iterations_per_temperature):
-            pending = _sample_pending_move(
-                workspace, rng, weights=params.move_weights
-            )
-            if pending is None:
-                continue
-            step_trials += 1
-            delta = pending.delta
-            if -_EXACT_DELTA_THRESHOLD < delta < _EXACT_DELTA_THRESHOLD:
-                delta = workspace.exact_delta(pending)
-            if delta < 0 or rng.random() < exp(-delta / temperature):
-                if verify:
-                    applied = workspace.apply(pending)
-                    workspace.check_consistency()
-                    if abs(pending.delta - applied.delta) > 1e-9:
-                        raise PlacementError(
-                            f"delta estimate {pending.delta!r} disagrees "
-                            f"with realised change {applied.delta!r}"
-                        )
-                else:
-                    workspace.commit(pending)
-                current_energy = workspace.energy
-                step_accepted += 1
-                if current_energy < best_energy:
-                    best_energy = current_energy
-                    best_blocks = workspace.snapshot_blocks()
-        accepted += step_accepted
-        trials += step_trials
-        trace.append(current_energy)
-        _flush_step(
-            instrumentation, temperature, current_energy, best_energy,
-            step_trials, step_accepted, perf_counter() - step_started,
+    """The incremental move loop from *current* to the end of the
+    schedule: a resumable anneal run without a pause."""
+    start = _step_zero("incremental", None, current, priorities, params, rng)
+    return checkpoint_result(
+        _resume_incremental_checkpoint(
+            start, priorities, params, None, instrumentation, verify=verify
         )
-        temperature *= params.cooling_rate
-
-    best = Placement(workspace.grid, best_blocks)
-    _flush_final(instrumentation, initial_energy, best_energy)
-    return AnnealingResult(
-        placement=best,
-        energy=best_energy,
-        initial_energy=initial_energy,
-        accepted_moves=accepted,
-        trials=trials,
-        energy_trace=trace,
     )
 
 
@@ -469,19 +413,21 @@ class AnnealCheckpoint:
     Captures everything the move loop needs to continue bit-exactly:
     the placement, the python RNG state (and the batch kernel's PCG64
     state), the temperature, and the step/iteration counters.  Pauses
-    happen only at temperature-step boundaries, and the incremental
-    workspace's energy is a full-pass recomputation after every commit
-    (bit-identical to a from-scratch evaluation), so an anneal split
-    across any number of suspend/resume cycles walks the *identical*
-    trajectory as an uninterrupted run — the property the resume parity
-    tests pin and the racer's determinism contract stands on.
+    happen only at temperature-step boundaries, and energies are exact
+    (a rebuilt workspace starts from the very energy the suspended one
+    held), so an anneal split across any number of suspend/resume
+    cycles walks the *identical* trajectory as an uninterrupted run —
+    the property the resume parity tests pin and the racer's
+    determinism contract stands on.
 
     ``iterations_done`` counts inner-loop move iterations
     (``steps_done * Imax``) — the budget unit of the racer's rungs.
     """
 
     engine: str
-    seed: int
+    #: ``None`` for the one-shot engines' unpaused run, whose caller
+    #: stamps the seed on the result.
+    seed: int | None
     temperature: float
     steps_done: int
     iterations_done: int
@@ -551,7 +497,6 @@ def anneal_start(
                 f"{len(footprints)} components on a "
                 f"{grid.width}x{grid.height} grid"
             )
-    energy = placement_energy(current, priorities)
     np_state: dict | None = None
     if engine == "batch" and params.batch_size > 1:
         # Same draw position as anneal_batch: the 64-bit numpy seed is
@@ -559,6 +504,21 @@ def anneal_start(
         from repro.place.batch import numpy_rng_state
 
         np_state = numpy_rng_state(rng.getrandbits(64))
+    return _step_zero(engine, seed, current, priorities, params, rng, np_state)
+
+
+def _step_zero(
+    engine: str,
+    seed: int | None,
+    placement: Placement,
+    priorities: ConnectionPriorities,
+    params: AnnealingParameters,
+    rng: random.Random,
+    np_rng_state: dict | None = None,
+) -> AnnealCheckpoint:
+    """The checkpoint of an anneal that starts from *placement* with
+    *rng* in its current state and has run no step yet."""
+    energy = placement_energy(placement, priorities)
     return AnnealCheckpoint(
         engine=engine,
         seed=seed,
@@ -566,16 +526,15 @@ def anneal_start(
         steps_done=0,
         iterations_done=0,
         rng_state=rng.getstate(),
-        np_rng_state=np_state,
-        placement=current,
-        best_placement=current,
+        np_rng_state=np_rng_state,
+        placement=placement,
+        best_placement=placement,
         current_energy=energy,
         best_energy=energy,
         initial_energy=energy,
         accepted_moves=0,
         trials=0,
         energy_trace=[],
-        finished=False,
     )
 
 
@@ -631,20 +590,21 @@ def _resume_incremental_checkpoint(
     params: AnnealingParameters,
     until_iterations: int | None,
     instrumentation: Instrumentation | None,
+    verify: bool = False,
 ) -> AnnealCheckpoint:
     """The incremental move loop over a rebuilt workspace.
 
-    Mirrors :func:`_anneal_incremental` draw for draw; the only
-    additions are the budget check at the step boundary and the state
-    capture at suspension.  The workspace energy after reconstruction
-    is bit-identical to the suspended value because both are full-pass
-    evaluations over the same blocks.
+    Energies are tracked as exact integer counts of
+    :data:`~repro.place.energy.ENERGY_UNIT` and scaled to floats only
+    where they leave the loop.  The Metropolis test scales the delta
+    first, so it sees the same float the reference engine computes.
     """
     workspace = PlacementWorkspace(cp.placement, priorities)
     rng = random.Random()
     rng.setstate(cp.rng_state)
-    current_energy = workspace.energy
-    best_energy = cp.best_energy
+    unit = ENERGY_UNIT
+    current = workspace.units
+    best = round(cp.best_energy / unit)
     best_blocks = {
         cid: cp.best_placement.block(cid)
         for cid in cp.best_placement.components()
@@ -670,25 +630,32 @@ def _resume_incremental_checkpoint(
                 continue
             step_trials += 1
             delta = pending.delta
-            if -_EXACT_DELTA_THRESHOLD < delta < _EXACT_DELTA_THRESHOLD:
-                delta = workspace.exact_delta(pending)
-            if delta < 0 or rng.random() < exp(-delta / temperature):
+            if delta < 0 or rng.random() < exp(-(delta * unit) / temperature):
                 workspace.commit(pending)
-                current_energy = workspace.energy
+                if verify:
+                    realised = energy_units(workspace.snapshot(), priorities)
+                    if realised - current != delta:
+                        raise PlacementError(
+                            f"delta {delta!r} disagrees with realised "
+                            f"change {realised - current!r}"
+                        )
+                    workspace.check_consistency()
+                current += delta
                 step_accepted += 1
-                if current_energy < best_energy:
-                    best_energy = current_energy
+                if current < best:
+                    best = current
                     best_blocks = workspace.snapshot_blocks()
         accepted += step_accepted
         trials += step_trials
-        trace.append(current_energy)
+        trace.append(current * unit)
         _flush_step(
-            instrumentation, temperature, current_energy, best_energy,
+            instrumentation, temperature, current * unit, best * unit,
             step_trials, step_accepted, perf_counter() - step_started,
         )
         temperature *= params.cooling_rate
         steps_done += 1
         iterations_done += params.iterations_per_temperature
+    best_energy = best * unit
     finished = temperature <= params.min_temperature
     if finished:
         _flush_final(instrumentation, cp.initial_energy, best_energy)
@@ -702,7 +669,7 @@ def _resume_incremental_checkpoint(
         np_rng_state=cp.np_rng_state,
         placement=workspace.snapshot(),
         best_placement=Placement(workspace.grid, best_blocks),
-        current_energy=current_energy,
+        current_energy=current * unit,
         best_energy=best_energy,
         initial_energy=cp.initial_energy,
         accepted_moves=accepted,

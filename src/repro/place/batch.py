@@ -32,15 +32,16 @@ that is the degenerate case of the contract and the anchor of the
 parity suite.
 
 At ``K > 1`` there is deliberately no bit-level contract against the
-serial engines (vectorized reductions sum in a different order, and
-best-of-K is a different walk): the gates are *final energy never worse
-than the incremental engine on the bench set* and *checker-clean*, both
-pinned by tests and recorded in the BENCH artifact.
+serial engines (best-of-K is a different walk): the gates are *final
+energy never worse than the incremental engine on the bench set* and
+*checker-clean*, both pinned by tests and recorded in the BENCH
+artifact.
 
-Energies reported outward remain exact: the returned best energy is a
-full scalar :func:`~repro.place.energy.placement_energy` evaluation of
-the returned placement, so downstream consumers see a true Eq. 3
-value, not a vectorized approximation.
+Energies are exact all the same: centres, priorities and deltas are
+``int64`` arrays of the integers Eq. 3 is defined on (see
+:mod:`repro.place.energy`), so every energy the kernel tracks or
+reports equals :func:`~repro.place.energy.placement_energy` of its
+placement.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ from repro.place.annealing import (
     _anneal_incremental,
     _flush_final,
     _flush_step,
+    _step_zero,
+    checkpoint_result,
 )
-from repro.place.energy import ConnectionPriorities, placement_energy
+from repro.place.energy import ENERGY_UNIT, ConnectionPriorities, energy_units
 from repro.place.placement import PlacedComponent, Placement
 
 __all__ = ["BatchWorkspace", "anneal_batch", "numpy_rng_state", "resume_batch"]
@@ -88,11 +91,10 @@ def numpy_rng_state(np_seed: int) -> dict:
 class BatchWorkspace:
     """Structure-of-arrays mirror of a placement for the batch kernel.
 
-    Block origins and footprints live in int64 arrays, centres in
-    float64 (the exact ``x + (width - 1) / 2.0`` halves), and the net
-    adjacency in CSR form (``inc_ptr`` / ``inc_other`` / ``inc_p``,
-    both directions per net) — everything a step needs without touching
-    a python object.
+    Block origins and footprints, doubled centres and ``cp`` units all
+    live in int64 arrays, the net adjacency in CSR form (``inc_ptr`` /
+    ``inc_other`` / ``inc_p``, both directions per net) — everything a
+    step needs without touching a python object.
     """
 
     def __init__(
@@ -122,19 +124,19 @@ class BatchWorkspace:
         self.by = _np.array([b.y for b in blocks], dtype=_np.int64)
         self.bw = _np.array([b.width for b in blocks], dtype=_np.int64)
         self.bh = _np.array([b.height for b in blocks], dtype=_np.int64)
-        self.cx = self.bx + (self.bw - 1) / 2.0
-        self.cy = self.by + (self.bh - 1) / 2.0
-        nets = list(priorities.priorities.items())
+        self.cx = 2 * self.bx + self.bw - 1
+        self.cy = 2 * self.by + self.bh - 1
+        nets = list(priorities.units.items())
         self.net_a = _np.array(
             [idx[a] for (a, _b), _p in nets], dtype=_np.int64
         )
         self.net_b = _np.array(
             [idx[b] for (_a, b), _p in nets], dtype=_np.int64
         )
-        self.net_p = _np.array([p for _ab, p in nets], dtype=_np.float64)
+        self.net_p = _np.array([p for _ab, p in nets], dtype=_np.int64)
         # CSR incident adjacency: per component, (other, priority) of
         # every net touching it, both directions.
-        incident: list[list[tuple[int, float]]] = [[] for _ in range(self.m)]
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
         for (a, b), p in nets:
             incident[idx[a]].append((idx[b], p))
             incident[idx[b]].append((idx[a], p))
@@ -145,12 +147,12 @@ class BatchWorkspace:
             [o for pairs in incident for o, _p in pairs], dtype=_np.int64
         )
         self.inc_p = _np.array(
-            [p for pairs in incident for _o, p in pairs], dtype=_np.float64
+            [p for pairs in incident for _o, p in pairs], dtype=_np.int64
         )
         # Dense symmetric priority matrix (m is tens, not thousands):
         # P[a, b] is the a-b net priority or 0 — the swap-delta
         # correction term reads it per lane.
-        self.net_matrix = _np.zeros((self.m, self.m), dtype=_np.float64)
+        self.net_matrix = _np.zeros((self.m, self.m), dtype=_np.int64)
         self.net_matrix[self.net_a, self.net_b] = self.net_p
         self.net_matrix[self.net_b, self.net_a] = self.net_p
         self.rng = _np.random.default_rng(np_seed)
@@ -164,21 +166,26 @@ class BatchWorkspace:
             w = _np.asarray(move_weights, dtype=_np.float64)
             self._kind_p = w / w.sum()
         self._lanes = _np.arange(batch_size)
-        self._inf_k = _np.full(batch_size, _np.inf)
-        #: Running energy: exact (scalar Eq. 3) at construction, then a
-        #: vectorized full recompute after each accepted move.
-        self.energy = placement_energy(placement, priorities)
+        # Delta of an illegal lane: above any legal one.
+        self._never_k = _np.full(batch_size, _np.iinfo(_np.int64).max)
+        #: Running energy in ENERGY_UNIT, moved by each accepted delta.
+        self.units = energy_units(placement, priorities)
 
     # ------------------------------------------------------------------
     # Energy
     # ------------------------------------------------------------------
-    def vector_energy(self) -> float:
-        """Full Eq. 3 evaluation as one vectorized reduction."""
+    @property
+    def energy(self) -> float:
+        """Current Eq. 3 energy."""
+        return self.units * ENERGY_UNIT
+
+    def vector_energy(self) -> int:
+        """Full Eq. 3 evaluation (in ENERGY_UNIT) as one reduction."""
         cx = self.cx
         cy = self.cy
         a = self.net_a
         b = self.net_b
-        return float(
+        return int(
             _np.sum(
                 self.net_p
                 * (_np.abs(cx[a] - cx[b]) + _np.abs(cy[a] - cy[b]))
@@ -202,19 +209,19 @@ class BatchWorkspace:
             for i, cid in enumerate(self.cids)
         }
 
-    def check_consistency(self, tolerance: float = 1e-6) -> None:
-        """Assert legality + energy against the from-scratch oracle."""
+    def check_consistency(self) -> None:
+        """Assert legality + exact energy against the from-scratch oracle."""
         placement = self.snapshot_placement()
         if not placement.is_legal():
             raise PlacementError(
                 "batch workspace holds an illegal placement: "
                 + "; ".join(placement.violations())
             )
-        exact = placement_energy(placement, self.priorities)
-        if abs(exact - self.energy) > tolerance:
+        exact = energy_units(placement, self.priorities)
+        if exact != self.units:
             raise PlacementError(
-                f"batch energy drifted: maintained {self.energy!r} vs "
-                f"recomputed {exact!r}"
+                f"batch energy drifted: maintained {self.units!r} vs "
+                f"recomputed {exact!r} energy units"
             )
 
     # ------------------------------------------------------------------
@@ -309,9 +316,9 @@ class BatchWorkspace:
         if n_legal == 0:
             return 0, False
 
-        ncx1 = x1 + (w1 - 1) / 2.0
-        ncy1 = y1 + (h1 - 1) / 2.0
-        deltas = self._inf_k.copy()
+        ncx1 = 2 * x1 + w1 - 1
+        ncy1 = 2 * y1 + h1 - 1
+        deltas = self._never_k.copy()
         single = _np.nonzero(legal & ~is_swap)[0]
         swaps = _np.nonzero(legal & is_swap)[0]
         # One CSR gather for every legal lane: single lanes contribute
@@ -324,8 +331,8 @@ class BatchWorkspace:
             b = partners[swaps]
             nax = ncx1[swaps]
             nay = ncy1[swaps]
-            nbx = x2[swaps] + (w2[swaps] - 1) / 2.0
-            nby = y2[swaps] + (h2[swaps] - 1) / 2.0
+            nbx = 2 * x2[swaps] + w2[swaps] - 1
+            nby = 2 * y2[swaps] + h2[swaps] - 1
             cat_comps = _np.concatenate((comps[single], a, b))
             cat_cx = _np.concatenate((ncx1[single], nax, nbx))
             cat_cy = _np.concatenate((ncy1[single], nay, nby))
@@ -343,11 +350,13 @@ class BatchWorkspace:
             )
 
         best = int(_np.argmin(deltas))
-        best_delta = float(deltas[best])
+        best_delta = int(deltas[best])
         if best_delta < 0:
             accept = True
         else:
-            accept = rng.random() < math.exp(-best_delta / temperature)
+            accept = rng.random() < math.exp(
+                -(best_delta * ENERGY_UNIT) / temperature
+            )
         if accept:
             a = int(comps[best])
             self.bx[a] = x1[best]
@@ -360,9 +369,9 @@ class BatchWorkspace:
                 b = int(partners[best])
                 self.bx[b] = x2[best]
                 self.by[b] = y2[best]
-                self.cx[b] = x2[best] + (w2[best] - 1) / 2.0
-                self.cy[b] = y2[best] + (h2[best] - 1) / 2.0
-            self.energy = self.vector_energy()
+                self.cx[b] = 2 * x2[best] + w2[best] - 1
+                self.cy[b] = 2 * y2[best] + h2[best] - 1
+            self.units += best_delta
         return n_legal, accept
 
     def _single_deltas(self, comps, new_cx, new_cy):
@@ -370,7 +379,8 @@ class BatchWorkspace:
 
         CSR gather: concatenate every lane's incident slice, broadcast
         the lane's old/new centre over it, and segment-sum the per-net
-        contributions back per lane with ``bincount``.
+        contributions back per lane as differences of one integer prefix
+        sum (each lane's slice is contiguous in the gather).
         """
         ptr = self.inc_ptr
         starts = ptr[comps]
@@ -378,10 +388,9 @@ class BatchWorkspace:
         total = int(counts.sum())
         n = comps.shape[0]
         if total == 0:
-            return _np.zeros(n)
+            return _np.zeros(n, dtype=_np.int64)
         excl = _np.cumsum(counts) - counts
         flat = _np.repeat(starts - excl, counts) + _np.arange(total)
-        segment = _np.repeat(_np.arange(n), counts)
         others = self.inc_other[flat]
         pr = self.inc_p[flat]
         ocx = self.cx[others]
@@ -394,7 +403,9 @@ class BatchWorkspace:
             (_np.abs(nx - ocx) + _np.abs(ny - ocy))
             - (_np.abs(ox - ocx) + _np.abs(oy - ocy))
         )
-        return _np.bincount(segment, weights=contrib, minlength=n)
+        prefix = _np.zeros(total + 1, dtype=_np.int64)
+        _np.cumsum(contrib, out=prefix[1:])
+        return prefix[excl + counts] - prefix[excl]
 
     def _swap_correction(self, a, b, nax, nay, nbx, nby):
         """Shared-net fixup making two single-move deltas a swap delta.
@@ -441,71 +452,12 @@ def anneal_batch(
         return _anneal_incremental(
             current, priorities, params, rng, instrumentation, verify=verify
         )
-    workspace = BatchWorkspace(
-        current, priorities, params.batch_size, rng.getrandbits(64),
-        move_weights=params.move_weights,
-    )
-    if instrumentation is not None:
-        instrumentation.gauge("sa.batch_size", params.batch_size)
-    current_energy = workspace.energy
-    initial_energy = current_energy
-    best_energy = current_energy
-    best_arrays = (
-        workspace.bx.copy(), workspace.by.copy(),
-        workspace.bw.copy(), workspace.bh.copy(),
-    )
-
-    accepted = 0
-    trials = 0
-    trace: list[float] = []
-    temperature = params.initial_temperature
-    while temperature > params.min_temperature:
-        step_started = perf_counter()
-        kernel_seconds = 0.0
-        step_accepted = 0
-        step_trials = 0
-        for _ in range(params.iterations_per_temperature):
-            kernel_started = perf_counter()
-            n_legal, took = workspace.step(temperature)
-            kernel_seconds += perf_counter() - kernel_started
-            step_trials += n_legal
-            if took:
-                step_accepted += 1
-                if verify:
-                    workspace.check_consistency()
-                current_energy = workspace.energy
-                if current_energy < best_energy:
-                    best_energy = current_energy
-                    best_arrays = (
-                        workspace.bx.copy(), workspace.by.copy(),
-                        workspace.bw.copy(), workspace.bh.copy(),
-                    )
-        accepted += step_accepted
-        trials += step_trials
-        trace.append(current_energy)
-        if instrumentation is not None:
-            instrumentation.observe("sa.batch_kernel_seconds", kernel_seconds)
-        _flush_step(
-            instrumentation, temperature, current_energy, best_energy,
-            step_trials, step_accepted, perf_counter() - step_started,
+    np_state = numpy_rng_state(rng.getrandbits(64))
+    start = _step_zero("batch", None, current, priorities, params, rng, np_state)
+    return checkpoint_result(
+        resume_batch(
+            start, priorities, params, None, instrumentation, verify=verify
         )
-        temperature *= params.cooling_rate
-
-    best = Placement(
-        workspace.grid, workspace._blocks_from_arrays(best_arrays)
-    )
-    # Report a true scalar Eq. 3 energy, not the vectorized running
-    # value — downstream consumers (multi-start reduction, bench
-    # artifacts) compare energies across engines.
-    best_energy = placement_energy(best, priorities)
-    _flush_final(instrumentation, initial_energy, best_energy)
-    return AnnealingResult(
-        placement=best,
-        energy=best_energy,
-        initial_energy=initial_energy,
-        accepted_moves=accepted,
-        trials=trials,
-        energy_trace=trace,
     )
 
 
@@ -515,25 +467,21 @@ def resume_batch(
     params: AnnealingParameters,
     until_iterations: int | None,
     instrumentation: Instrumentation | None,
+    verify: bool = False,
 ) -> AnnealCheckpoint:
     """Advance a suspended batch anneal (see ``anneal_resume``).
 
     Continuity is exact: the PCG64 stream is restored from the stored
     ``bit_generator.state`` (the advanced position, not the seed), and
-    the checkpoint's running energy overrides the workspace's
-    construction-time scalar evaluation — the vectorized full recompute
-    after an accept can differ from the scalar Eq. 3 sum in the last
-    ulp, so carrying the stored value keeps a split run's acceptance
-    decisions bit-identical to an uninterrupted :func:`anneal_batch`.
-    A finished resume reports the exact scalar energy of the best
-    placement outward, exactly like :func:`anneal_batch`.
+    the rebuilt workspace starts from the very energy the suspended one
+    held (energies are exact).  With *verify*, every accepted move is
+    checked against the from-scratch oracle.
     """
     workspace = BatchWorkspace(
         cp.placement, priorities, params.batch_size, np_seed=0,
         move_weights=params.move_weights,
     )
     workspace.rng.bit_generator.state = cp.np_rng_state
-    workspace.energy = cp.current_energy
     if instrumentation is not None:
         instrumentation.gauge("sa.batch_size", params.batch_size)
     current_energy = cp.current_energy
@@ -562,6 +510,8 @@ def resume_batch(
             step_trials += n_legal
             if took:
                 step_accepted += 1
+                if verify:
+                    workspace.check_consistency()
                 current_energy = workspace.energy
                 if current_energy < best_energy:
                     best_energy = current_energy
@@ -581,10 +531,6 @@ def resume_batch(
     best_placement = Placement(workspace.grid, best_blocks)
     finished = temperature <= params.min_temperature
     if finished:
-        # Outward energies are exact, same as anneal_batch's final
-        # recompute; intermediate rungs compare the running vectorized
-        # values, which is fine — they rank, they are not reported.
-        best_energy = placement_energy(best_placement, priorities)
         _flush_final(instrumentation, cp.initial_energy, best_energy)
     return AnnealCheckpoint(
         engine=cp.engine,

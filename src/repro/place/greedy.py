@@ -19,10 +19,12 @@ paper's comparison measures.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from repro.errors import PlacementError
-from repro.place.energy import wirelength_energy
+from repro.place.energy import ConnectionPriorities
 from repro.place.grid import ChipGrid
+from repro.place.incremental import PlacementWorkspace
 from repro.place.placement import PlacedComponent, Placement
 
 __all__ = ["construct_placement", "correct_placement", "greedy_placement"]
@@ -106,28 +108,34 @@ def correct_placement(
 
     Swaps two blocks' origins whenever that is legal and strictly reduces
     Σ mdis over *nets*; repeats until a full pass makes no improvement.
+    *placement* must be legal (:func:`construct_placement` builds one).
+
+    The swaps run on a
+    :class:`~repro.place.incremental.PlacementWorkspace` whose net
+    priorities are the nets' multiplicities: its exact Eq. 3 energy is
+    then the wirelength, a swap's legality depends on the two moved
+    blocks only, and its delta is exact, so "strictly reduces" is
+    ``delta < 0``.
     """
-    current = placement
-    current_cost = wirelength_energy(current, nets)
-    components = current.components()
+    multiplicity = Counter(nets)
+    workspace = PlacementWorkspace(
+        placement,
+        ConnectionPriorities(
+            {net: float(count) for net, count in multiplicity.items()}
+        ),
+    )
+    components = workspace.components()
     for _ in range(max_passes):
         improved = False
         for i, cid_a in enumerate(components):
             for cid_b in components[i + 1:]:
-                block_a = current.block(cid_a)
-                block_b = current.block(cid_b)
-                candidate = current.with_block(
-                    block_a.moved_to(block_b.x, block_b.y)
-                ).with_block(block_b.moved_to(block_a.x, block_a.y))
-                if not candidate.is_legal():
-                    continue
-                cost = wirelength_energy(candidate, nets)
-                if cost < current_cost - 1e-12:
-                    current, current_cost = candidate, cost
+                move = workspace.propose_swap(cid_a, cid_b)
+                if move is not None and move.delta < 0:
+                    workspace.commit(move)
                     improved = True
         if not improved:
             break
-    return current
+    return workspace.snapshot()
 
 
 def greedy_placement(

@@ -8,8 +8,7 @@ two components.  :class:`PlacementWorkspace` replaces all three:
 
 * **In-place apply/undo** — block positions live in one mutable dict;
   an accepted move mutates it, a rejected proposal mutates nothing, and
-  :meth:`undo` restores the exact pre-move state (including the exact
-  energy float, not a drifting ``energy - delta``).
+  :meth:`undo` restores the exact pre-move state, energy included.
 * **O(1)-amortised legality** — a cell-level *occupancy index* maps
   every covered cell (as linear index ``y * width + x``) to its
   component.  A candidate block is checked by scanning only its
@@ -25,16 +24,13 @@ two components.  :class:`PlacementWorkspace` replaces all three:
 
 Rejected proposals — the annealer's overwhelmingly common case at low
 temperature — therefore cost only an inflated-rectangle scan plus the
-incident nets, and allocate nothing but the proposal record.  Accepted
-moves re-evaluate the energy with a tight full pass in the *identical*
-term order and float expressions as
-:func:`~repro.place.energy.placement_energy`, so :attr:`energy` is at
-all times *bit-identical* to a from-scratch evaluation — never merely
-"close".  That exactness is what lets a seeded incremental run make the
-same accept/reject and best-so-far decisions as the reference engine
-(see :mod:`repro.place.annealing`), and the incident-nets delta is
-guaranteed to agree with the realised energy change within ``1e-9`` on
-every accepted move (the property tests assert both).
+incident nets, and allocate nothing but the proposal record.  Energies
+are exact integers (see :mod:`repro.place.energy`): a delta is the true
+change, so a commit adds it to :attr:`units` and the result equals a
+from-scratch :func:`~repro.place.energy.energy_units` of the new state.
+That exactness is what lets a seeded incremental run make the same
+accept/reject and best-so-far decisions as the reference engine (see
+:mod:`repro.place.annealing`); the property tests assert it.
 
 Legality semantics are *exactly* those of :meth:`Placement.is_legal`:
 bounds, the no-full-span rule, and pairwise clearance of one cell.  The
@@ -47,7 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PlacementError
-from repro.place.energy import ConnectionPriorities, placement_energy
+from repro.place.energy import (
+    ENERGY_UNIT,
+    ConnectionPriorities,
+    doubled_centre,
+    energy_units,
+    placement_energy,
+)
 from repro.place.placement import PlacedComponent, Placement
 
 __all__ = ["PendingMove", "AppliedMove", "PlacementWorkspace"]
@@ -64,38 +66,31 @@ INDEX_SCAN_THRESHOLD = 12
 
 @dataclass(slots=True)
 class PendingMove:
-    """A legal, not-yet-applied move and its estimated energy delta.
+    """A legal, not-yet-applied move and its exact energy delta.
 
     ``changes`` holds one ``(current_block, new_x, new_y, new_width,
     new_height)`` tuple per moved component; the candidate
     :class:`PlacedComponent` objects are only materialised if the move
-    is committed.  ``delta`` sums only the nets incident to the moved
-    components; it agrees with the realised energy change within
-    ``1e-9``.  Nothing in the workspace has changed yet; pass the
-    proposal to :meth:`PlacementWorkspace.apply` (or the annealer's
-    no-undo twin :meth:`PlacementWorkspace.commit`) to take it.
+    is committed.  ``delta`` is the exact energy change in
+    :data:`~repro.place.energy.ENERGY_UNIT`, summed over only the nets
+    incident to the moved components.  Nothing in the workspace has
+    changed yet; pass the proposal to :meth:`PlacementWorkspace.apply`
+    (or the annealer's no-undo twin :meth:`PlacementWorkspace.commit`)
+    to take it.
     """
 
     kind: str
     changes: tuple[tuple[PlacedComponent, int, int, int, int], ...]
-    delta: float
+    delta: int
 
 
 @dataclass(slots=True)
 class AppliedMove:
-    """Undo token for one committed move.
-
-    ``delta`` is the *realised* exact energy change (new minus old full
-    evaluation), which may differ from the proposal's incident-nets
-    estimate by float rounding noise (``<= 1e-9``).
-    """
+    """Undo token for one committed move (``delta`` as proposed)."""
 
     kind: str
     replacements: tuple[tuple[PlacedComponent, PlacedComponent], ...]
-    delta: float
-    #: Workspace energy *before* the move — :meth:`undo` restores this
-    #: exact float so apply/undo round-trips are bit-exact.
-    energy_before: float
+    delta: int
 
 
 class PlacementWorkspace:
@@ -125,45 +120,36 @@ class PlacementWorkspace:
         if self._use_index_scan:
             for block in self._blocks.values():
                 self._occupy(block)
-        #: Centre cache: component index -> centre coordinate, with the
-        #: exact ``x + (width - 1) / 2.0`` floats of
-        #: :meth:`PlacedComponent.centre` — list indexing is far cheaper
-        #: than block attribute access in the energy loops, and the
-        #: cached values are bit-identical to freshly computed ones.
+        #: Centre cache: component index -> doubled centre coordinate
+        #: (:func:`~repro.place.energy.doubled_centre`) — list indexing
+        #: is far cheaper than block attribute access in the delta loops.
         self._idx: dict[str, int] = {
             cid: i for i, cid in enumerate(self._components)
         }
-        self._cx: list[float] = [
-            b.x + (b.width - 1) / 2.0
-            for b in (self._blocks[c] for c in self._components)
-        ]
-        self._cy: list[float] = [
-            b.y + (b.height - 1) / 2.0
-            for b in (self._blocks[c] for c in self._components)
-        ]
+        centres = [doubled_centre(self._blocks[c]) for c in self._components]
+        self._cx: list[int] = [x for x, _y in centres]
+        self._cy: list[int] = [y for _x, y in centres]
         # Validates that every net's endpoints are placed, exactly as
         # the reference path would on its first evaluation — and before
-        # the index-based net list below assumes the endpoints exist.
-        self.energy: float = placement_energy(placement, priorities)
-        #: Net list (index_a, index_b, priority) in the priorities dict's
-        #: iteration order — the exact order ``placement_energy`` sums
-        #: in, so :meth:`_exact_energy` reproduces its float result bit
-        #: for bit.
-        self._net_list: tuple[tuple[int, int, float], ...] = tuple(
-            (self._idx[cid_a], self._idx[cid_b], priority)
-            for (cid_a, cid_b), priority in priorities.priorities.items()
-        )
-        #: Net adjacency: cid -> ((other_index, priority), ...).
-        adjacency: dict[str, list[tuple[int, float]]] = {
+        # the adjacency below assumes the endpoints exist.
+        #: Current energy as an exact count of ENERGY_UNIT.
+        self.units: int = energy_units(placement, priorities)
+        #: Net adjacency: cid -> ((other_index, cp units), ...).
+        adjacency: dict[str, list[tuple[int, int]]] = {
             cid: [] for cid in self._blocks
         }
-        for (cid_a, cid_b), priority in priorities.priorities.items():
-            if cid_a in adjacency and cid_b in adjacency:
-                adjacency[cid_a].append((self._idx[cid_b], priority))
-                adjacency[cid_b].append((self._idx[cid_a], priority))
-        self._incident: dict[str, tuple[tuple[int, float], ...]] = {
+        for (cid_a, cid_b), units in priorities.units.items():
+            adjacency[cid_a].append((self._idx[cid_b], units))
+            adjacency[cid_b].append((self._idx[cid_a], units))
+        self._incident: dict[str, tuple[tuple[int, int], ...]] = {
             cid: tuple(pairs) for cid, pairs in adjacency.items()
         }
+
+    @property
+    def energy(self) -> float:
+        """Current Eq. 3 energy, equal to ``placement_energy`` of the
+        current state."""
+        return self.units * ENERGY_UNIT
 
     # ------------------------------------------------------------------
     # Accessors
@@ -275,71 +261,32 @@ class PlacementWorkspace:
     # ------------------------------------------------------------------
     # Energy
     # ------------------------------------------------------------------
-    def _exact_energy(self) -> float:
-        """Full Eq. 3 pass, bit-identical to ``placement_energy``.
-
-        Iterates the nets in the same order and evaluates the same float
-        expressions as the reference evaluation; the cached centres hold
-        exactly the ``x + (width - 1) / 2.0`` floats a fresh evaluation
-        would compute.
-        """
-        cx = self._cx
-        cy = self._cy
-        total = 0.0
-        for ia, ib, priority in self._net_list:
-            total += (abs(cx[ia] - cx[ib]) + abs(cy[ia] - cy[ib])) * priority
-        return total
-
-    def exact_delta(self, move: PendingMove) -> float:
-        """The move's exact energy change (full-evaluation difference).
-
-        Matches what the reference engine's ``candidate_energy -
-        current_energy`` computes, bit for bit.  The annealer falls back
-        to this when the incident-nets estimate is too close to zero to
-        trust its sign.
-        """
-        # Write the candidate centres into the cache, evaluate, restore.
-        cx = self._cx
-        cy = self._cy
-        idx = self._idx
-        saved = []
-        for old, x, y, w, h in move.changes:
-            i = idx[old.cid]
-            saved.append((i, cx[i], cy[i]))
-            cx[i] = x + (w - 1) / 2.0
-            cy[i] = y + (h - 1) / 2.0
-        total = self._exact_energy()
-        for i, ox, oy in saved:
-            cx[i] = ox
-            cy[i] = oy
-        return total - self.energy
-
     def _delta_single(
         self, cid: str, new_x: int, new_y: int, new_w: int, new_h: int
-    ) -> float:
+    ) -> int:
         """Incident-nets energy delta of moving *cid* alone."""
         cx = self._cx
         cy = self._cy
         i = self._idx[cid]
         ox = cx[i]
         oy = cy[i]
-        nx = new_x + (new_w - 1) / 2.0
-        ny = new_y + (new_h - 1) / 2.0
-        new_sum = 0.0
-        old_sum = 0.0
-        for oi, priority in self._incident[cid]:
+        nx = 2 * new_x + new_w - 1
+        ny = 2 * new_y + new_h - 1
+        delta = 0
+        for oi, units in self._incident[cid]:
             bx = cx[oi]
             by = cy[oi]
-            new_sum += (abs(nx - bx) + abs(ny - by)) * priority
-            old_sum += (abs(ox - bx) + abs(oy - by)) * priority
-        return new_sum - old_sum
+            delta += (
+                abs(nx - bx) + abs(ny - by) - abs(ox - bx) - abs(oy - by)
+            ) * units
+        return delta
 
     def _delta_pair(
         self,
         old_a: PlacedComponent,
         old_b: PlacedComponent,
         ax: int, ay: int, bx_o: int, by_o: int,
-    ) -> float:
+    ) -> int:
         """Incident-nets delta of moving two components at once (swap).
 
         ``(ax, ay)`` / ``(bx_o, by_o)`` are the new origins of *old_a* /
@@ -354,31 +301,34 @@ class PlacementWorkspace:
         oay = cy[ia]
         obx = cx[ib]
         oby = cy[ib]
-        nax = ax + (old_a.width - 1) / 2.0
-        nay = ay + (old_a.height - 1) / 2.0
-        nbx = bx_o + (old_b.width - 1) / 2.0
-        nby = by_o + (old_b.height - 1) / 2.0
-        new_sum = 0.0
-        old_sum = 0.0
-        for oi, priority in self._incident[old_a.cid]:
+        nax = 2 * ax + old_a.width - 1
+        nay = 2 * ay + old_a.height - 1
+        nbx = 2 * bx_o + old_b.width - 1
+        nby = 2 * by_o + old_b.height - 1
+        delta = 0
+        for oi, units in self._incident[old_a.cid]:
             if oi == ib:
                 # The net between the moved pair: count it once, with
                 # both endpoints at their new positions.
-                new_sum += (abs(nax - nbx) + abs(nay - nby)) * priority
-                old_sum += (abs(oax - obx) + abs(oay - oby)) * priority
+                delta += (
+                    abs(nax - nbx) + abs(nay - nby)
+                    - abs(oax - obx) - abs(oay - oby)
+                ) * units
                 continue
             bx = cx[oi]
             by = cy[oi]
-            new_sum += (abs(nax - bx) + abs(nay - by)) * priority
-            old_sum += (abs(oax - bx) + abs(oay - by)) * priority
-        for oi, priority in self._incident[old_b.cid]:
+            delta += (
+                abs(nax - bx) + abs(nay - by) - abs(oax - bx) - abs(oay - by)
+            ) * units
+        for oi, units in self._incident[old_b.cid]:
             if oi == ia:
                 continue
             bx = cx[oi]
             by = cy[oi]
-            new_sum += (abs(nbx - bx) + abs(nby - by)) * priority
-            old_sum += (abs(obx - bx) + abs(oby - by)) * priority
-        return new_sum - old_sum
+            delta += (
+                abs(nbx - bx) + abs(nby - by) - abs(obx - bx) - abs(oby - by)
+            ) * units
+        return delta
 
     # ------------------------------------------------------------------
     # Move proposals (legality + delta; nothing is mutated)
@@ -461,28 +411,20 @@ class PlacementWorkspace:
                 self._occupy(new)
             blocks[old.cid] = new
             i = idx[old.cid]
-            cx[i] = x + (w - 1) / 2.0
-            cy[i] = y + (h - 1) / 2.0
-        self.energy = self._exact_energy()
+            cx[i] = 2 * x + w - 1
+            cy[i] = 2 * y + h - 1
+        self.units += move.delta
 
     def apply(self, move: PendingMove) -> AppliedMove:
-        """Commit a proposal; returns the undo token.
-
-        The workspace energy is refreshed with an exact full evaluation
-        so it stays bit-identical to ``placement_energy`` of the new
-        state (see the module docstring for why that matters).
-        """
-        energy_before = self.energy
+        """Commit a proposal; returns the undo token."""
         self.commit(move)
         replacements = tuple(
             (old, self._blocks[old.cid]) for old, _x, _y, _w, _h in move.changes
         )
-        return AppliedMove(
-            move.kind, replacements, self.energy - energy_before, energy_before
-        )
+        return AppliedMove(move.kind, replacements, move.delta)
 
     def undo(self, applied: AppliedMove) -> None:
-        """Reverse a committed move, restoring the exact prior energy."""
+        """Reverse a committed move."""
         blocks = self._blocks
         for _old, new in applied.replacements:
             if blocks.get(new.cid) is not new:
@@ -501,20 +443,18 @@ class PlacementWorkspace:
                 self._occupy(old)
             blocks[old.cid] = old
             i = idx[old.cid]
-            cx[i] = old.x + (old.width - 1) / 2.0
-            cy[i] = old.y + (old.height - 1) / 2.0
-        self.energy = applied.energy_before
+            cx[i], cy[i] = doubled_centre(old)
+        self.units -= applied.delta
 
     # ------------------------------------------------------------------
     # Invariant checks (test / paranoid-mode hooks)
     # ------------------------------------------------------------------
-    def check_consistency(self, tolerance: float = 0.0) -> None:
+    def check_consistency(self) -> None:
         """Assert index + energy invariants against the from-scratch oracle.
 
         Raises :class:`PlacementError` when the occupancy index disagrees
         with the blocks, the placement is illegal, or the maintained
-        energy differs from a full ``placement_energy`` recompute by more
-        than *tolerance* (default: must be bit-exact).
+        energy differs from a full ``energy_units`` recompute at all.
         """
         if self._use_index_scan:
             expected_owner: dict[int, str] = {}
@@ -529,10 +469,7 @@ class PlacementWorkspace:
             )
         for cid, block in self._blocks.items():
             i = self._idx[cid]
-            if (
-                self._cx[i] != block.x + (block.width - 1) / 2.0
-                or self._cy[i] != block.y + (block.height - 1) / 2.0
-            ):
+            if (self._cx[i], self._cy[i]) != doubled_centre(block):
                 raise PlacementError(
                     f"centre cache out of sync for component {cid!r}"
                 )
@@ -542,9 +479,9 @@ class PlacementWorkspace:
                 "workspace holds an illegal placement: "
                 + "; ".join(placement.violations())
             )
-        exact = placement_energy(placement, self.priorities)
-        if abs(exact - self.energy) > tolerance:
+        exact = energy_units(placement, self.priorities)
+        if exact != self.units:
             raise PlacementError(
-                f"incremental energy drifted: maintained {self.energy!r} "
-                f"vs recomputed {exact!r}"
+                f"incremental energy drifted: maintained {self.units!r} "
+                f"vs recomputed {exact!r} energy units"
             )

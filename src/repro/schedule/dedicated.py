@@ -161,6 +161,9 @@ class DedicatedStorageScheduler(SchedulerEngine):
             op_id=op_id, component_id=target.cid, start=start, end=end
         )
         self._store_output(op_id, target, end)
+        # Every plan reads the shared storage port, which each commit
+        # moves: no plan survives a commit here.
+        self._forget_plans()
 
     def _store_output(
         self, op_id: str, target: ComponentState, end: Seconds

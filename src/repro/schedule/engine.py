@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
-from repro.assay.graph import SequencingGraph
+from repro.assay.graph import OperationType, SequencingGraph
 from repro.components.allocation import Allocation
 from repro.components.instances import (
     OUTLET,
@@ -107,6 +107,11 @@ class SchedulingPolicy:
         return cls(OrderPolicy.FIFO, BindingPolicy.EARLIEST_READY)
 
 
+# What binding an operation to a component would mean right now:
+# (start achieved, 1 if an unrelated fluid is evicted else 0,
+# availability of the component alone, cid).
+_Probe = tuple[Seconds, int, Seconds, str]
+
 # Where a not-yet-delivered fluid portion currently is.
 _PortionLocation = (
     tuple[Literal["component"], str]
@@ -144,6 +149,18 @@ class SchedulerEngine:
         self.components: dict[str, ComponentState] = build_component_states(
             allocation
         )
+        #: Binding candidates per operation type, in allocation order.
+        self._by_type: dict[OperationType, list[ComponentState]] = {}
+        for state in self.components.values():
+            self._by_type.setdefault(state.op_type, []).append(state)
+        #: Algorithm 1 plan cache: ready operation -> the component the
+        #: binding policy picks for it and the start it achieves there,
+        #: valid until a commit touches state the plan read (see
+        #: :meth:`_schedule_operation`).
+        self._plans: dict[str, tuple[ComponentState, Seconds]] = {}
+        #: What the plans are made of: operation -> cid -> the
+        #: operation's :meth:`_probe` of that component.
+        self._probes: dict[str, dict[str, _Probe]] = {}
         self.priorities = compute_priorities(assay, transport_time)
         # Per-edge portion tracking: (producer, consumer) -> location.
         self._portions: dict[tuple[str, str], _PortionLocation] = {}
@@ -168,8 +185,8 @@ class SchedulerEngine:
         while ready:
             if instr is not None:
                 instr.gauge("schedule.ready_queue_depth", len(ready))
-            op_id = self._dequeue(ready)
-            self._schedule_operation(op_id)
+            op_id, target = self._dequeue(ready)
+            self._schedule_operation(op_id, target)
             for child in self.assay.children(op_id):
                 pending_parents[child] -= 1
                 if pending_parents[child] == 0:
@@ -196,34 +213,35 @@ class SchedulerEngine:
     # ------------------------------------------------------------------
     # Queue policy
     # ------------------------------------------------------------------
-    def _dequeue(self, ready: list[str]) -> str:
-        """Pop the next operation according to the order policy."""
+    def _dequeue(
+        self, ready: list[str]
+    ) -> tuple[str, ComponentState | None]:
+        """Pop the next operation according to the order policy, with
+        the component it is planned on (``None``: bind at commit)."""
         if self.policy.order is OrderPolicy.PRIORITY:
             # Time-causal list scheduling: earliest achievable start
             # first; among simultaneous candidates, highest priority.
-            chosen = min(
-                ready,
-                key=lambda o: (
-                    self._plan(o)[1],
-                    -self.priorities[o],
-                    o,
-                ),
-            )
-        else:
-            chosen = min(ready, key=lambda o: (self._ready_time[o], o))
+            plans = self._plans
+            priorities = self.priorities
+
+            def key(o: str) -> tuple[Seconds, float, str]:
+                plan = plans.get(o)
+                if plan is None:
+                    plan = plans[o] = self._plan(o)
+                return (plan[1], -priorities[o], o)
+
+            chosen = min(ready, key=key)
+            ready.remove(chosen)
+            return chosen, plans.pop(chosen)[0]
+        chosen = min(ready, key=lambda o: (self._ready_time[o], o))
         ready.remove(chosen)
-        return chosen
+        return chosen, None
 
     # ------------------------------------------------------------------
     # Binding policy
     # ------------------------------------------------------------------
     def _candidates(self, op_id: str) -> list[ComponentState]:
-        op = self.assay.operation(op_id)
-        return [
-            state
-            for state in self.components.values()
-            if state.op_type == op.op_type
-        ]
+        return self._by_type.get(self.assay.operation(op_id).op_type, [])
 
     def _availability(self, state: ComponentState, op_id: str) -> Seconds:
         """Earliest start time *op_id* could achieve on this component,
@@ -255,7 +273,7 @@ class SchedulerEngine:
                     cid = self._scheduled[parent].component_id
                     return (
                         fluid.diffusion_coefficient,
-                        self._earliest_start(op_id, self.components[cid]),
+                        self._probe(op_id, self.components[cid])[0],
                         parent,
                     )
 
@@ -266,27 +284,54 @@ class SchedulerEngine:
             # far-from-ready candidate never beats one the operation can
             # actually use sooner.  Start-time ties prefer components not
             # holding another operation's fluid: every avoided eviction
-            # is a fluid that need not wait in channel storage.
+            # is a fluid that need not wait in channel storage.  The
+            # probe is exactly that key.
             return min(
-                self._candidates(op_id),
-                key=lambda s: (
-                    self._earliest_start(op_id, s),
-                    1 if s.holds_fluid and op_id not in s.resident.portions else 0,
-                    self._availability(s, op_id),
-                    s.cid,
-                ),
+                self._candidates(op_id), key=lambda s: self._probe(op_id, s)
             )
+
         # BA: the qualified component with the earliest ready time.
-        return min(
-            self._candidates(op_id),
-            key=lambda s: (self._availability(s, op_id), s.cid),
-        )
+        def ba_key(state: ComponentState) -> tuple[Seconds, str]:
+            probe = self._probe(op_id, state)
+            return (probe[2], probe[3])
+
+        return min(self._candidates(op_id), key=ba_key)
 
     def _plan(self, op_id: str) -> tuple[ComponentState, Seconds]:
         """The component the policy would bind *op_id* to right now, and
         the start time it would achieve there (no state is modified)."""
         target = self._select_component(op_id)
-        return target, self._earliest_start(op_id, target)
+        return target, self._probe(op_id, target)[0]
+
+    def _probe(self, op_id: str, state: ComponentState) -> _Probe:
+        """What binding *op_id* to *state* would mean right now, cached.
+
+        A probe reads only *state* and where *op_id*'s inputs are, so it
+        stays valid until a commit changes that component or moves one
+        of those inputs (see :meth:`_schedule_operation`).
+        """
+        probes = self._probes.get(op_id)
+        if probes is None:
+            probes = self._probes[op_id] = {}
+        probe = probes.get(state.cid)
+        if probe is None:
+            resident = state.resident
+            probe = probes[state.cid] = (
+                self._earliest_start(op_id, state),
+                1 if state.holds_fluid and op_id not in resident.portions else 0,
+                self._availability(state, op_id),
+                state.cid,
+            )
+        return probe
+
+    def _forget_plans(self, consumer: str | None = None) -> None:
+        """Drop the cached plan and probes of *consumer* (all: ``None``)."""
+        if consumer is None:
+            self._plans.clear()
+            self._probes.clear()
+        else:
+            self._plans.pop(consumer, None)
+            self._probes.pop(consumer, None)
 
     def _earliest_start(self, op_id: str, target: ComponentState) -> Seconds:
         """Start time *op_id* achieves on *target* in the current state."""
@@ -338,6 +383,17 @@ class SchedulerEngine:
         # and by each incoming fluid portion.
         start = self._earliest_start(op_id, target)
 
+        # A probe reads one component and where its operation's inputs
+        # are; a plan reads the probes of every component of its type.
+        # The commit changes the target and every component a parent
+        # portion is pulled out of.  Portions it pushes into channel
+        # storage drop their consumers' plans where they move.
+        touched = {target.cid}
+        for parent in self.assay.parents(op_id):
+            location = self._portions[(parent, op_id)]
+            if location[0] == "component":
+                touched.add(location[1])
+
         # Commit: evict an unrelated resident fluid, then pull in parents.
         self._evict_unrelated_resident(target, op_id, start)
         for parent in sorted(self.assay.parents(op_id)):
@@ -349,6 +405,14 @@ class SchedulerEngine:
             op_id=op_id, component_id=target.cid, start=start, end=end
         )
         self._settle_output(op_id, target, end)
+        self._forget_plans(op_id)
+        for probes in self._probes.values():
+            for cid in touched:
+                probes.pop(cid, None)
+        types = {self.components[cid].op_type for cid in touched}
+        plans = self._plans
+        for stale in [o for o, p in plans.items() if p[0].op_type in types]:
+            del plans[stale]
         if self.instrumentation is not None:
             self.instrumentation.count("schedule.operations")
             self.instrumentation.event(
@@ -389,6 +453,7 @@ class SchedulerEngine:
                 depart,
                 target.cid,
             )
+            self._forget_plans(consumer)
             if self.instrumentation is not None:
                 self.instrumentation.count("schedule.evictions")
 
@@ -432,6 +497,7 @@ class SchedulerEngine:
                         start,
                         src_cid,
                     )
+                    self._forget_plans(sibling)
                 source.remove_portion(op_id, start, "in_place", 0.0)
                 movement = FluidMovement(
                     producer=parent,

@@ -1,10 +1,16 @@
 """Unit tests for Eq. 3 / Eq. 4 placement energy."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.components.allocation import Allocation
 from repro.place.energy import (
+    CP_UNIT,
+    ENERGY_UNIT,
+    ConnectionPriorities,
     build_connection_priorities,
+    energy_units,
     placement_energy,
     wirelength_energy,
 )
@@ -103,3 +109,35 @@ class TestEnergy:
         placement = self.placement(10)
         value = wirelength_energy(placement, [("Mixer1", "Heater1")])
         assert value == placement.manhattan_distance("Mixer1", "Heater1")
+
+
+class TestExactArithmetic:
+    def test_priorities_quantised_once(self):
+        priorities = ConnectionPriorities(priorities={("a", "b"): 0.8})
+        assert priorities.units == {("a", "b"): round(0.8 / CP_UNIT)}
+        assert priorities.priority("a", "b") == (
+            priorities.units[("a", "b")] * CP_UNIT
+        )
+        assert abs(priorities.priority("a", "b") - 0.8) <= CP_UNIT / 2
+        again = ConnectionPriorities(priorities=priorities.priorities)
+        assert again.units == priorities.units
+
+    def test_energy_is_the_exact_sum(self):
+        """Eq. 3 over half-cell centres equals the rational sum exactly."""
+        priorities = build_connection_priorities(two_net_schedule())
+        placement = Placement(
+            ChipGrid(20, 20),
+            {
+                "Mixer1": PlacedComponent("Mixer1", 0, 0, 3, 2),
+                "Heater1": PlacedComponent("Heater1", 7, 3, 2, 1),
+                "Detector1": PlacedComponent("Detector1", 0, 10, 1, 1),
+            },
+        )
+        exact = sum(
+            Fraction(placement.manhattan_distance(a, b)) * Fraction(p)
+            for (a, b), p in priorities.priorities.items()
+        )
+        assert Fraction(placement_energy(placement, priorities)) == exact
+        assert placement_energy(placement, priorities) == (
+            energy_units(placement, priorities) * ENERGY_UNIT
+        )

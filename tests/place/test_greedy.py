@@ -77,3 +77,69 @@ class TestGreedyPlacement:
         nets = [("Mixer1", "Mixer2")]
         placement = greedy_placement(ChipGrid(14, 14), FOOTPRINTS, nets)
         assert placement.is_legal()
+
+
+def naive_correction(placement, nets, max_passes=10):
+    """The correction as first written: every candidate swap is a new
+    placement, checked by the all-pairs legality scan and re-summed."""
+    current = placement
+    current_cost = wirelength_energy(current, nets)
+    components = current.components()
+    for _ in range(max_passes):
+        improved = False
+        for i, cid_a in enumerate(components):
+            for cid_b in components[i + 1:]:
+                block_a = current.block(cid_a)
+                block_b = current.block(cid_b)
+                candidate = current.with_blocks(
+                    block_a.moved_to(block_b.x, block_b.y),
+                    block_b.moved_to(block_a.x, block_a.y),
+                )
+                if not candidate.is_legal():
+                    continue
+                cost = wirelength_energy(candidate, nets)
+                if cost < current_cost - 1e-12:
+                    current, current_cost = candidate, cost
+                    improved = True
+        if not improved:
+            break
+    return current
+
+
+class TestCorrectionOracle:
+    @pytest.mark.parametrize(
+        "name", ["PCR", "IVD", "CPA", "Synthetic1", "Synthetic3"]
+    )
+    @pytest.mark.parametrize("passes", [2, 10])
+    def test_matches_naive_correction(self, name, passes):
+        from repro.benchmarks.registry import get_benchmark
+        from repro.core.problem import SynthesisProblem
+        from repro.schedule import schedule_assay
+
+        case = get_benchmark(name)
+        problem = SynthesisProblem(assay=case.assay, allocation=case.allocation)
+        schedule = schedule_assay(case.assay, case.allocation)
+        # Duplicates and self-nets on purpose: wirelength counts both.
+        nets = [
+            (task.src_component, task.dst_component)
+            for task in schedule.transport_tasks()
+        ]
+        initial = construct_placement(
+            problem.resolved_grid(), problem.footprints()
+        )
+        fast = correct_placement(initial, nets, max_passes=passes)
+        slow = naive_correction(initial, nets, max_passes=passes)
+        assert fast.blocks() == slow.blocks()
+
+    def test_illegal_start_rejected(self):
+        from repro.place.placement import PlacedComponent, Placement
+
+        overlapping = Placement(
+            ChipGrid(14, 14),
+            {
+                "Mixer1": PlacedComponent("Mixer1", 0, 0, 3, 2),
+                "Mixer2": PlacedComponent("Mixer2", 1, 0, 3, 2),
+            },
+        )
+        with pytest.raises(PlacementError):
+            correct_placement(overlapping, [("Mixer1", "Mixer2")])

@@ -3,10 +3,10 @@
 The contract the portfolio racer depends on: an anneal paused at any
 temperature-step boundary and resumed — once or many times, in any
 chop pattern — walks **bit-identically** to the uninterrupted run.
-Both resumable engines carry it: the incremental engine exactly (its
-checkpoints rebuild the workspace from the placement, whose energy is
-a full-pass recompute), and the batch engine via its stored numpy
-generator state.
+Both resumable engines carry it: energies are exact integers, so a
+workspace rebuilt from the checkpoint's placement starts from the very
+energy the suspended one held, and the batch engine also restores its
+stored numpy generator state.
 """
 
 from __future__ import annotations
@@ -118,11 +118,9 @@ class TestResumeBitParity:
             GRID, FOOTPRINTS, PRIORITIES, _params("incremental"),
             seed=7, initial=initial,
         )
-        assert cp.initial_energy == pytest.approx(
-            checkpoint_result(
-                anneal_resume(cp, PRIORITIES, _params("incremental"))
-            ).initial_energy
-        )
+        assert cp.initial_energy == checkpoint_result(
+            anneal_resume(cp, PRIORITIES, _params("incremental"))
+        ).initial_energy
 
 
 class TestCheckpointSurface:

@@ -223,12 +223,19 @@ class TestBackpressure:
                     {"benchmark": "PCR", "parameters": {"seed": seed}},
                 )
                 outcomes.append((status, headers, json.loads(body)))
+                if seed == 1:
+                    # Hold the queue once the first job is in: without
+                    # this, a job that finishes before the next few
+                    # POSTs arrive (they share the GIL with the inline
+                    # executor) leaves the queue never full.
+                    assert harness.raw("POST", "/admin/pause")[0] == 200
             rejected = [o for o in outcomes if o[0] == 429]
             accepted = [o for o in outcomes if o[0] == 202]
             assert rejected, "queue_limit=1 never produced a 429"
             for _, headers, body in rejected:
                 assert int(headers["retry-after"]) >= 1
                 assert body["retry_after"] >= 1
+            assert harness.raw("POST", "/admin/resume")[0] == 200
             # Every accepted job must reach a terminal state.
             for _, _, body in accepted:
                 final = harness.client.wait_for(
