@@ -6,7 +6,16 @@ The queue therefore journals every state transition as one JSON line
 same crash-parseable-prefix discipline as the run ledger and the
 hardened :class:`~repro.obs.sinks.JsonlSink`: a process killed
 mid-append leaves at most one damaged *final* line, which replay
-skips.
+skips (and terminates with a newline, so the next append starts a
+fresh line instead of being glued onto the fragment).
+
+**Group commit.** :meth:`JobQueue.submit_many` journals every job it
+creates with one ``write`` and one ``fsync``; :meth:`JobQueue.submit`
+is its one-item case.  A grouped append is still a prefix-parseable
+run of whole lines, so a crash inside it replays as the pre-batch
+state plus a prefix of the batch.  The caller learns of acceptance
+only after the fsync returns; if the append fails, every job the call
+created is removed again and the error propagates.
 
 Replay rules (:meth:`JobQueue.replay`):
 
@@ -50,7 +59,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ReproError
 
@@ -178,9 +187,11 @@ class JobQueue:
         #: Compactions performed over this instance's lifetime.
         self.compactions = 0
         self._compact_threshold = journal_limit
-        #: Persistent append handle — reopening the journal per record
-        #: costs more CPU than the record itself on the accept path.
-        #: Invalidated by compaction (``os.replace`` swaps the inode).
+        #: Persistent unbuffered append handle — reopening the journal
+        #: per append costs more CPU than the record itself on the
+        #: accept path.  Unbuffered, so a failed write leaves nothing
+        #: behind for ``close`` to flush.  Invalidated by compaction
+        #: (``os.replace`` swaps the inode) and by a failed append.
         self._journal_stream: Any = None
         self.replay()
 
@@ -193,22 +204,64 @@ class JobQueue:
                 pass
             self._journal_stream = None
 
-    def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, default=repr)
+    def _write_journal(self, records: Sequence[dict[str, Any]]) -> None:
+        """Make *records* durable with one ``write`` and one ``fsync``.
+
+        On an I/O error the bytes of this call are truncated away (best
+        effort), the handle is closed so the next append reopens the
+        journal, and the error propagates for the caller to roll back.
+        """
+        data = "".join(
+            json.dumps(record, sort_keys=True, default=repr) + "\n"
+            for record in records
+        ).encode("utf-8")
         stream = self._journal_stream
         if stream is None:
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-            stream = open(self.journal_path, "a", encoding="utf-8")
+            stream = open(self.journal_path, "ab", buffering=0)
             self._journal_stream = stream
-        stream.write(line + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-        self.journal_lines += 1
+        start = stream.tell()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[stream.write(view):]
+            os.fsync(stream.fileno())
+        except BaseException:
+            try:
+                os.ftruncate(stream.fileno(), start)
+            except OSError:  # pragma: no cover - best effort
+                pass
+            self._close_journal_stream()
+            raise
+        self.journal_lines += len(records)
+
+    def _compact_if_due(self) -> None:
         if (
             self._compact_threshold is not None
             and self.journal_lines >= self._compact_threshold
         ):
             self._compact_locked()
+
+    def _append(self, record: dict[str, Any]) -> None:
+        """Journal one lifecycle record (its own fsync)."""
+        self._write_journal((record,))
+        self._compact_if_due()
+
+    def _seal_torn_tail(self) -> None:
+        """End a crash-torn final line with a newline, so the next
+        append is not glued onto the fragment and lost with it."""
+        try:
+            with open(self.journal_path, "rb+") as stream:
+                if stream.seek(0, os.SEEK_END) == 0:
+                    return
+                stream.seek(-1, os.SEEK_END)
+                if stream.read(1) == b"\n":
+                    return
+                stream.write(b"\n")
+                stream.flush()
+                os.fsync(stream.fileno())
+        except FileNotFoundError:
+            return
 
     def close(self) -> None:
         """Release the persistent journal append handle (idempotent)."""
@@ -219,6 +272,7 @@ class JobQueue:
         """Rebuild in-memory state from the journal (idempotent)."""
         with self._lock:
             self._close_journal_stream()
+            self._seal_torn_tail()
             self._jobs.clear()
             self._pending.clear()
             started: set[str] = set()
@@ -274,11 +328,7 @@ class JobQueue:
             # meta records (written by compaction) carry the id
             # sequence forward so evicted ids are never reissued.
             self._seq = max(len(self._jobs), meta_seq)
-            if (
-                self._compact_threshold is not None
-                and self.journal_lines >= self._compact_threshold
-            ):
-                self._compact_locked()
+            self._compact_if_due()
 
     # -- compaction -----------------------------------------------------
     def _snapshot_records(self) -> tuple[list[dict[str, Any]], list[str]]:
@@ -394,42 +444,90 @@ class JobQueue:
     ) -> tuple[Job, bool]:
         """Accept one submission; returns ``(job, created)``.
 
-        A known *job_id* returns the existing job unchanged (idempotent
-        resubmission); a full queue raises :class:`QueueFullError`.
+        The one-item case of :meth:`submit_many`; a full queue raises
+        :class:`QueueFullError`.
         """
+        (outcome,) = self.submit_many([(document, digest, cache_key, job_id)])
+        if isinstance(outcome, QueueFullError):
+            raise outcome
+        return outcome
+
+    def submit_many(
+        self,
+        submissions: Sequence[
+            tuple[dict[str, Any], str, str, str | None]
+        ],
+    ) -> list[tuple[Job, bool] | QueueFullError]:
+        """Accept ``(document, digest, cache_key, job_id)`` submissions
+        under one journal ``write`` and one ``fsync``.
+
+        Returns one outcome per submission, in order: ``(job,
+        created)``, or a :class:`QueueFullError` for an item that found
+        the pending bound reached (the other items are unaffected).  A
+        known *job_id* — also one created earlier in the same call —
+        returns the existing job unchanged (idempotent resubmission).
+        Nothing is returned before the fsync; if the append raises,
+        every job created by this call is removed again and the id
+        sequence restored before the error propagates.
+        """
+        outcomes: list[tuple[Job, bool] | QueueFullError] = []
         with self._lock:
-            if job_id is not None and job_id in self._jobs:
-                return self._jobs[job_id], False
-            if len(self._pending) >= self.limit:
-                raise QueueFullError(
-                    f"job queue full ({self.limit} pending); retry later"
-                )
-            if job_id is None:
-                self._seq += 1
-                job_id = f"j{self._seq:06d}-{digest[:8]}"
-                while job_id in self._jobs:  # pragma: no cover - paranoia
+            seq = self._seq
+            created: list[Job] = []
+            for document, digest, cache_key, job_id in submissions:
+                if job_id is not None and job_id in self._jobs:
+                    outcomes.append((self._jobs[job_id], False))
+                    continue
+                if len(self._pending) >= self.limit:
+                    outcomes.append(
+                        QueueFullError(
+                            f"job queue full ({self.limit} pending); "
+                            "retry later"
+                        )
+                    )
+                    continue
+                if job_id is None:
                     self._seq += 1
                     job_id = f"j{self._seq:06d}-{digest[:8]}"
-            job = Job(
-                job_id=job_id,
-                document=dict(document),
-                digest=digest,
-                cache_key=cache_key,
-                created=self._clock(),
-            )
-            self._jobs[job_id] = job
-            self._pending.append(job_id)
-            self._append(
-                {
-                    "kind": "job",
-                    "id": job_id,
-                    "document": job.document,
-                    "digest": digest,
-                    "cache_key": cache_key,
-                    "ts": job.created,
-                }
-            )
-            return job, True
+                    while job_id in self._jobs:  # pragma: no cover - paranoia
+                        self._seq += 1
+                        job_id = f"j{self._seq:06d}-{digest[:8]}"
+                job = Job(
+                    job_id=job_id,
+                    document=dict(document),
+                    digest=digest,
+                    cache_key=cache_key,
+                    created=self._clock(),
+                )
+                self._jobs[job_id] = job
+                self._pending.append(job_id)
+                created.append(job)
+                outcomes.append((job, True))
+            if not created:
+                return outcomes
+            try:
+                self._write_journal(
+                    [
+                        {
+                            "kind": "job",
+                            "id": job.job_id,
+                            "document": job.document,
+                            "digest": job.digest,
+                            "cache_key": job.cache_key,
+                            "ts": job.created,
+                        }
+                        for job in created
+                    ]
+                )
+            except BaseException:
+                # The created jobs are the newest entries of both maps.
+                for job in created:
+                    del self._jobs[job.job_id]
+                    self._pending.pop()
+                self._seq = seq
+                raise
+            self._compact_if_due()
+            return outcomes
 
     # -- lifecycle ------------------------------------------------------
     def claim(self) -> Job | None:

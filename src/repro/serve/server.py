@@ -24,7 +24,8 @@ subsystem:
 Design points:
 
 * **Accepted means durable** — submissions are journaled before the
-  202 goes out; a crash replays them (:mod:`repro.serve.jobs`).
+  202 goes out; a crash replays them (:mod:`repro.serve.jobs`).  The
+  misses of one ``/jobs/batch`` body share one journal fsync.
 * **Backpressure is explicit** — pending jobs are bounded
   (``--queue-limit``), concurrency is bounded (``--inflight`` jobs,
   each one wave on a ``--jobs``-wide process pool), and a full queue
@@ -91,6 +92,10 @@ MAX_WAIT_SECONDS = 3600.0
 #: Cap on retained events per job (heartbeats are throttled, so this
 #: is minutes of progress; lifecycle events are never dropped).
 MAX_JOB_EVENTS = 500
+
+#: One accepted submission's answer: ``(status, payload, raw)``, where
+#: *raw* is pre-serialised result text to splice in, or ``None``.
+Accepted = tuple[int, dict[str, Any], dict[str, str] | None]
 
 
 @dataclass
@@ -351,6 +356,8 @@ class SynthesisServer:
             self._threads.shutdown(wait=True)
         if self.executor is not None:
             self.executor.close()
+        if self.queue is not None:
+            self.queue.close()
         self.ready.clear()
 
     # ------------------------------------------------------------------
@@ -788,16 +795,26 @@ class SynthesisServer:
         )
         await write_json(writer, status, payload, raw=raw, close=not keep)
 
-    async def _accept(
-        self, submission: Submission
-    ) -> tuple[int, dict[str, Any], dict[str, str] | None]:
+    async def _accept(self, submission: Submission) -> Accepted:
         """Cache-or-queue one parsed submission (429 raises through).
 
         Returns ``(status, payload, raw)``; *raw* carries pre-serialised
         result text for :func:`~repro.serve.http.write_json` to splice
-        in verbatim (the cache-hit fast path).  With peering configured,
-        a local miss asks the digest-owner shard's cache before paying
-        for a synthesis run.
+        in verbatim (the cache-hit fast path).
+        """
+        text = await self._lookup(submission)
+        if text is not None:
+            return 200, self._hit_payload(submission), {"result": text}
+        (outcome,) = self._enqueue([submission])
+        if isinstance(outcome, QueueFullError):
+            raise outcome
+        return outcome
+
+    async def _lookup(self, submission: Submission) -> str | None:
+        """The cached result text of *submission*, or ``None`` on a miss.
+
+        With peering configured, a local miss asks the digest-owner
+        shard's cache before paying for a synthesis run.
         """
         text = self.cache.get(submission.cache_key)
         if text is None and self._peer_ring is not None:
@@ -808,39 +825,66 @@ class SynthesisServer:
             )
             if text is not None:
                 self.cache.put(submission.cache_key, text)
-        if text is not None:
-            self.instr.count("serve.cache_hits")
-            payload = {
-                "job_id": submission.job_id,
-                "status": "done",
-                "cached": True,
-                "digest": submission.digest,
-            }
-            return 200, payload, {"result": text}
-        self.instr.count("serve.cache_misses")
-        job, created = self.queue.submit(
-            submission.document,
-            digest=submission.digest,
-            cache_key=submission.cache_key,
-            job_id=submission.job_id,
+        self.instr.count(
+            "serve.cache_misses" if text is None else "serve.cache_hits"
         )
-        if created:
-            self.instr.count("serve.jobs_accepted")
-            self._event_log(job.job_id).append(
-                {"event": "queued", "ts": time.time()}
+        return text
+
+    @staticmethod
+    def _hit_payload(submission: Submission) -> dict[str, Any]:
+        return {
+            "job_id": submission.job_id,
+            "status": "done",
+            "cached": True,
+            "digest": submission.digest,
+        }
+
+    def _enqueue(
+        self, submissions: list[Submission]
+    ) -> list[Accepted | QueueFullError]:
+        """Queue cache misses under one journal fsync.
+
+        Returns per-submission ``(status, payload, raw)`` (as
+        :meth:`_accept`) or the item's :class:`QueueFullError`.
+        """
+        assert self.queue is not None
+        outcomes = self.queue.submit_many(
+            [
+                (s.document, s.digest, s.cache_key, s.job_id)
+                for s in submissions
+            ]
+        )
+        results: list[Accepted | QueueFullError] = []
+        queued = False
+        now = time.time()
+        for submission, outcome in zip(submissions, outcomes):
+            if isinstance(outcome, QueueFullError):
+                results.append(outcome)
+                continue
+            job, created = outcome
+            if created:
+                queued = True
+                self.instr.count("serve.jobs_accepted")
+                self._event_log(job.job_id).append(
+                    {"event": "queued", "ts": now}
+                )
+                results.append((202, {
+                    "job_id": job.job_id,
+                    "status": "queued",
+                    "cached": False,
+                    "digest": submission.digest,
+                }, None))
+                continue
+            # Idempotent resubmission of a known job id.
+            payload, raw = self._result_payload(job)
+            payload["cached"] = False
+            results.append(
+                (200 if job.status == "done" else 202, payload, raw)
             )
+        if queued:
             self._gauges()
             self._kick()
-            return 202, {
-                "job_id": job.job_id,
-                "status": "queued",
-                "cached": False,
-                "digest": submission.digest,
-            }, None
-        # Idempotent resubmission of a known job id.
-        payload, raw = self._result_payload(job)
-        payload["cached"] = False
-        return (200 if job.status == "done" else 202), payload, raw
+        return results
 
     async def _handle_batch(
         self, request: Request, writer: asyncio.StreamWriter, keep: bool
@@ -855,47 +899,56 @@ class SynthesisServer:
         items = data.get("jobs") if isinstance(data, dict) else None
         if not isinstance(items, list) or not items:
             raise HttpError(400, "body must be {'jobs': [submission, …]}")
-        entries: list[dict[str, Any]] = []
-        accepted = rejected = hits = 0
+        # Hits and invalid items are answered in place; the misses
+        # leave a slot that their one grouped enqueue fills.
+        entries: list[dict[str, Any] | None] = []
+        misses: list[Submission] = []
+        slots: list[int] = []
         for item in items:
             try:
                 submission = parse_submission(item)
-                status, payload, raw = await self._accept(submission)
-                if raw is not None:
-                    # Batch responses embed results as parsed objects;
-                    # write_json's canonical serialisation keeps them
-                    # byte-identical to the stored text.
-                    payload["result"] = json.loads(raw["result"])
-            except QueueFullError as error:
-                rejected += 1
-                self.instr.count("serve.jobs_rejected")
-                entries.append(
-                    {
-                        "status": "rejected",
-                        "error": str(error),
-                        "retry_after": self._retry_after(
-                            submission.job_id or submission.digest
-                        ),
-                    }
-                )
-                continue
             except ReproError as error:
-                rejected += 1
-                entries.append(
-                    {"status": "invalid", "error": str(error)}
-                )
+                entries.append({"status": "invalid", "error": str(error)})
                 continue
-            if payload.get("cached"):
-                hits += 1
-            else:
-                accepted += 1
+            text = await self._lookup(submission)
+            if text is None:
+                slots.append(len(entries))
+                misses.append(submission)
+                entries.append(None)
+                continue
+            # Batch responses embed results as parsed objects;
+            # write_json's canonical serialisation keeps them
+            # byte-identical to the stored text.
+            payload = self._hit_payload(submission)
+            payload["result"] = json.loads(text)
             entries.append(payload)
+        for slot, submission, outcome in zip(
+            slots, misses, self._enqueue(misses)
+        ):
+            if isinstance(outcome, QueueFullError):
+                self.instr.count("serve.jobs_rejected")
+                entries[slot] = {
+                    "status": "rejected",
+                    "error": str(outcome),
+                    "retry_after": self._retry_after(
+                        submission.job_id or submission.digest
+                    ),
+                }
+                continue
+            _, payload, raw = outcome
+            if raw is not None:
+                payload["result"] = json.loads(raw["result"])
+            entries[slot] = payload
+        rejected = sum(
+            1 for e in entries if e["status"] in ("rejected", "invalid")
+        )
+        hits = sum(1 for e in entries if e.get("cached"))
         await write_json(
             writer,
             200,
             {
                 "jobs": entries,
-                "accepted": accepted,
+                "accepted": len(entries) - rejected - hits,
                 "cached": hits,
                 "rejected": rejected,
             },

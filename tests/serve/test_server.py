@@ -258,15 +258,124 @@ class TestBackpressure:
             entries = response["jobs"]
             assert len(entries) == 6
             statuses = [e["status"] for e in entries]
-            assert "invalid" in statuses
-            assert response["accepted"] >= 1
-            assert response["rejected"] >= 1
+            assert statuses == ["queued"] * 2 + ["rejected"] * 3 + ["invalid"]
+            assert response["accepted"] == 2
+            assert response["rejected"] == 4
             for entry in entries:
                 if entry["status"] in ("queued", "running"):
                     final = harness.client.wait_for(
                         entry["job_id"], timeout=120
                     )
                     assert final["status"] == "done"
+        finally:
+            harness.stop()
+
+
+def _seeded(*seeds):
+    return [{"benchmark": "PCR", "parameters": {"seed": s}} for s in seeds]
+
+
+class TestBatchSemantics:
+    """Per-item verdicts of ``POST /jobs/batch`` with the dispatcher
+    paused, so every queued item stays queued."""
+
+    @pytest.fixture
+    def paused(self, tmp_path):
+        instance = _Harness(tmp_path, queue_limit=4).start()
+        assert instance.raw("POST", "/admin/pause")[0] == 200
+        yield instance
+        instance.stop()
+
+    def test_same_job_id_twice_in_one_body(self, paused):
+        first, second = ({**PCR, "job_id": "twice"}, {**PCR, "job_id": "twice"})
+        response = paused.client.submit_batch([first, second])
+        created, existing = response["jobs"]
+        assert created["job_id"] == existing["job_id"] == "twice"
+        assert created["status"] == existing["status"] == "queued"
+        assert response["accepted"] == 2 and response["rejected"] == 0
+        counters = paused.client.stats()["counters"]
+        assert counters["serve.jobs_accepted"] == 1
+        assert paused.client.stats()["queue"]["depth"] == 1
+
+    def test_queue_filling_mid_batch(self, paused, tmp_path):
+        from repro.serve.jobs import read_journal
+
+        response = paused.client.submit_batch(_seeded(*range(1, 8)))
+        entries = response["jobs"]
+        assert [e["status"] for e in entries] == ["queued"] * 4 + ["rejected"] * 3
+        for entry in entries[4:]:
+            assert entry["retry_after"] >= 1 and "full" in entry["error"]
+        journaled = [
+            record["id"]
+            for record in read_journal(tmp_path / "serve" / "journal.jsonl")
+            if record["kind"] == "job"
+        ]
+        assert journaled == [e["job_id"] for e in entries[:4]]
+        assert (response["accepted"], response["rejected"]) == (4, 3)
+
+    def test_hits_invalid_and_queued_keep_their_order(self, tmp_path):
+        harness = _Harness(tmp_path).start()
+        try:
+            warm = harness.client.submit(PCR, wait=120)[2]
+            assert warm["status"] == "done"
+            assert harness.raw("POST", "/admin/pause")[0] == 200
+            before = harness.client.stats()["counters"]
+            batch = [
+                PCR, {"benchmark": "NoSuch"}, *_seeded(2),
+                PCR, {"benchmark": "PCR", "bogus": 1}, *_seeded(3),
+            ]
+            response = harness.client.submit_batch(batch)
+            entries = response["jobs"]
+            assert [e["status"] for e in entries] == [
+                "done", "invalid", "queued", "done", "invalid", "queued",
+            ]
+            assert [e.get("cached") for e in entries] == [
+                True, None, False, True, None, False,
+            ]
+            assert entries[0]["result"] == warm["result"]
+            assert entries[3]["result"] == warm["result"]
+            assert (
+                response["accepted"], response["cached"], response["rejected"]
+            ) == (2, 2, 2)
+            after = harness.client.stats()["counters"]
+
+            def delta(name):
+                return after.get(name, 0) - before.get(name, 0)
+
+            assert delta("serve.cache_hits") == 2
+            assert delta("serve.cache_misses") == 2
+            assert delta("serve.jobs_accepted") == 2
+        finally:
+            harness.stop()
+
+    def test_stats_counters_match_item_tallies(self, paused):
+        batch = _seeded(1, 2, 3) + [{"benchmark": "NoSuch"}] + _seeded(4, 5, 6)
+        response = paused.client.submit_batch(batch)
+        statuses = [e["status"] for e in response["jobs"]]
+        assert statuses == ["queued"] * 3 + ["invalid"] + ["queued", "rejected", "rejected"]
+        counters = paused.client.stats()["counters"]
+        assert counters["serve.jobs_accepted"] == statuses.count("queued")
+        assert counters["serve.cache_misses"] == 6
+        assert counters["serve.jobs_rejected"] == statuses.count("rejected")
+
+    def test_one_fsync_per_batch_body(self, tmp_path, monkeypatch):
+        """The group-commit gate: a 32-item body costs one fsync."""
+        import os
+
+        harness = _Harness(tmp_path, queue_limit=1000).start()
+        try:
+            assert harness.raw("POST", "/admin/pause")[0] == 200
+            calls = []
+            real = os.fsync
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: (calls.append(fd), real(fd))[1]
+            )
+            response = harness.client.submit_batch(_seeded(*range(1, 33)))
+            assert response["accepted"] == 32
+            assert len(calls) == 1
+            status, _, _ = harness.raw("POST", "/jobs", _seeded(99)[0])
+            assert status == 202
+            assert len(calls) == 2
         finally:
             harness.stop()
 
