@@ -62,11 +62,10 @@ class SynthesisParameters:
     #: (ignored by the other engines).  ``1`` degenerates to the
     #: incremental engine's exact move loop.
     sa_batch_size: int = 16
-    #: Routing engine: ``"flat"`` (integer-indexed arrays, see
-    #: :mod:`repro.route.flat`), ``"flat2"`` (vectorized kernels, see
-    #: :mod:`repro.route.flat2`), or ``"reference"`` (the Cell/dict
-    #: oracle).  All yield byte-identical paths, slot plans, and
-    #: metrics; the choice only affects runtime.
+    #: Routing engine: ``"flat"`` (integer-indexed arrays and numpy
+    #: kernels, see :mod:`repro.route.flat`) or ``"reference"`` (the
+    #: Cell/dict oracle).  Both yield byte-identical paths, slot plans,
+    #: and metrics; the choice only affects runtime.
     route_engine: str = DEFAULT_ROUTE_ENGINE
     #: Independent SA restarts; the best placement wins under the
     #: ``(energy, derived seed)`` total order.  Restart 0 keeps the base

@@ -7,8 +7,7 @@ Two tiers, selected by ``--scale``:
   incremental) and writes the ``BENCH_pr3.json`` artifact.
 * ``--scale large`` times the scale tier (Scale50/100/200 synthetic
   assays, where routing dominates) once per *routing* engine
-  (reference vs the fast engine — ``flat2`` by default, ``flat`` via
-  ``--fast-route-engine``) and writes the ``BENCH_pr7.json`` artifact;
+  (reference vs ``flat``) and writes the ``BENCH_pr7.json`` artifact;
   the comparison carries path digests, so a routing-parity break fails
   the run.
 
@@ -29,8 +28,9 @@ candidate moves evaluated per second, every placement engine, batch at
 BATCH candidates per step) and attaches the section to the artifact.
 The committed ``BENCH_pr6.json`` artifact is the route tier rerun with
 ``--output BENCH_pr6.json`` after latency histograms landed;
-``BENCH_pr7.json`` is the same tier after the flat2 routing engine and
-the numpy batch SA kernel landed, with the throughput section.
+``BENCH_pr7.json`` is the same tier after the vectorized routing
+kernels and the numpy batch SA kernel landed, with the throughput
+section.
 
 Options::
 
@@ -53,8 +53,6 @@ Options::
                          report (default; violation counts land in the
                          table and artifact), or strict (fail on any
                          violation)
-    --fast-route-engine  fast side of the --scale large comparison:
-                         flat2 (default) or flat
     --throughput BATCH   also measure raw SA placement throughput
                          (moves/sec per engine; batch at BATCH
                          candidates per step) and record the section
@@ -160,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the paper's rows, large compares the routing engines "
              "(reference vs the fast engine) on the Scale50/100/200 "
              "synthetic assays (default: table1)",
-    )
-    parser.add_argument(
-        "--fast-route-engine",
-        choices=("flat", "flat2"),
-        default="flat2",
-        help="fast side of the --scale large routing comparison "
-             "(default: flat2, the vectorized-cost engine)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -476,7 +467,7 @@ def _run_route_tier(args, names: tuple[str, ...], repeats: int) -> int:
     """The ``--scale large`` branch: reference vs fast routing engine."""
     comparisons = run_route_suite(
         names, seed=args.seed, repeats=repeats, jobs=args.jobs,
-        check=args.check, fast_engine=args.fast_route_engine,
+        check=args.check,
     )
     print(render_route_table(comparisons))
 
@@ -507,7 +498,7 @@ def _run_route_tier(args, names: tuple[str, ...], repeats: int) -> int:
         )
         if gate.route_speedup < 1.0:
             print(
-                f"error: {args.fast_route_engine} engine slower than "
+                "error: flat engine slower than "
                 f"reference on {gate.benchmark} "
                 f"({gate.flat.route_time:.3f}s vs "
                 f"{gate.reference.route_time:.3f}s)",

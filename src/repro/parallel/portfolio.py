@@ -95,7 +95,7 @@ _ENGINE_ALIASES = {
 }
 _ENGINE_SHORT = {"incremental": "inc", "batch": "batch"}
 
-#: Arm configurations cycled by :func:`default_arms` (numpy present).
+#: Arm configurations cycled by :func:`default_arms`.
 DEFAULT_PALETTE = (
     "inc",
     "batch:k=16",
@@ -111,19 +111,6 @@ DEFAULT_PALETTE = (
 #: full BA correction's 10 passes capture most of its wirelength gain
 #: and leave the real correction to the anneal itself.
 GREEDY_INIT_PASSES = 2
-
-#: Pure-python palette used when numpy (the batch kernel) is absent.
-FALLBACK_PALETTE = (
-    "inc",
-    "inc:w=1/2/1",
-    "inc:init=greedy",
-    "inc:w=2/1/1",
-    "inc:cool=0.8",
-    "inc:T0=1000",
-    "inc:cool=0.95",
-    "inc:w=1/1/2",
-)
-
 
 @dataclass(frozen=True)
 class PortfolioArm:
@@ -306,20 +293,14 @@ def parse_arms(
 def default_arms(count: int) -> str:
     """The default heterogeneous arm-spec string for *count* arms.
 
-    Cycles :data:`DEFAULT_PALETTE`; without numpy the batch kernel is
-    unavailable, so :data:`FALLBACK_PALETTE` (pure-python variants)
-    is cycled instead.  Beyond one palette cycle, configurations repeat
-    but seeds keep diverging — repeats degrade to plain multi-start of
-    the best-looking configs, never to wasted duplicates.
+    Cycles :data:`DEFAULT_PALETTE`.  Beyond one palette cycle,
+    configurations repeat but seeds keep diverging — repeats degrade to
+    plain multi-start of the best-looking configs, never to wasted
+    duplicates.
     """
     if count < 1:
         raise PlacementError(f"portfolio needs >= 1 arm, got {count}")
-    try:
-        import numpy  # noqa: F401
-
-        palette = DEFAULT_PALETTE
-    except ImportError:  # pragma: no cover - the test image ships numpy
-        palette = FALLBACK_PALETTE
+    palette = DEFAULT_PALETTE
     return ",".join(palette[i % len(palette)] for i in range(count))
 
 

@@ -348,23 +348,20 @@ def run_route_suite(
     repeats: int = 3,
     jobs: int = 1,
     check: str = "off",
-    fast_engine: str = "flat2",
 ) -> list[RouteBenchComparison]:
-    """Time every benchmark under reference vs *fast_engine* routing.
+    """Time every benchmark under reference vs ``flat`` routing.
 
     The placement engine is pinned to ``incremental`` on both sides so
     the comparison isolates the routing phase; the scale tier
     (:data:`~repro.benchmarks.registry.SCALE_ORDER`) is the default
     name set because that is where routing dominates the pipeline.
-    *fast_engine* (``"flat2"`` by default, ``"flat"`` for the
-    first-generation kernel) fills each comparison's ``flat`` side.
     Each comparison carries the path digests of both runs, so a parity
     break surfaces as ``paths_match=False`` in the committed artifact.
     """
     tasks = [
         (name, route_engine, seed, repeats, check)
         for name in names
-        for route_engine in ("reference", fast_engine)
+        for route_engine in ("reference", "flat")
     ]
     runs = run_tasks(_route_worker, tasks, jobs=jobs)
     comparisons = []

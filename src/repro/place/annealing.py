@@ -13,7 +13,7 @@ Two interchangeable engines implement the move loop:
 
 * ``engine="incremental"`` (default) — the
   :class:`~repro.place.incremental.PlacementWorkspace`: in-place
-  apply/undo moves, occupancy-index legality, and delta energy over only
+  apply/undo moves, row-bitmask legality, and delta energy over only
   the nets incident to the moved components.
 * ``engine="reference"`` — the original immutable path (one new
   :class:`~repro.place.placement.Placement`, full legality scan, and
@@ -80,6 +80,13 @@ PLACEMENT_ENGINES = ("incremental", "batch", "reference")
 #: identically (``rng.choice`` on any length-3 sequence draws the same
 #: underlying integer).
 _MOVE_KINDS = ("translate", "swap", "rotate")
+#: Integer codes of :data:`_MOVE_KINDS` for the sampler's hot loop
+#: (``rng.choices`` draws the same numbers whatever the population).
+_KIND_CODES = (0, 1, 2)
+#: Largest population ``rng.sample(population, 2)`` draws from with
+#: its pool-list branch (CPython's ``setsize``: a larger population
+#: switches to the set-based branch with a different second draw).
+_SAMPLE_POOL_MAX = 21
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ def anneal_placement(
     verify:
         Incremental engine only: after every accepted move, assert the
         move's delta equals the change of a from-scratch Eq. 3
-        evaluation exactly and the occupancy index matches the blocks.
+        evaluation exactly and the row occupancy masks match the blocks.
         Slow; meant for tests and debugging.
     """
     if engine not in PLACEMENT_ENGINES:
@@ -234,7 +241,7 @@ def anneal_placement(
         )
     elif engine == "batch":
         # Imported lazily: the other engines never pay for the numpy
-        # import, and reference/incremental runs work without numpy.
+        # import.
         from repro.place.batch import anneal_batch
 
         result = anneal_batch(
@@ -354,32 +361,78 @@ def _sample_pending_move(
     identical move proposals.  Non-``None`` weights bias the move-kind
     draw (``rng.choices``) and deliberately leave the bit-parity
     contract: a weighted arm is a *different* deterministic walk.
+
+    The draws are CPython's own, inlined: ``rng.choice(seq)`` and
+    ``rng.randint(0, m)`` are one ``_randbelow(n)`` each (``n = len(seq)``
+    and ``m + 1``), which takes ``getrandbits(n.bit_length())`` until
+    the value is below ``n``; ``rng.sample(components, 2)`` is two
+    ``_randbelow`` draws whose bounds depend on its branch (pool list
+    up to :data:`_SAMPLE_POOL_MAX` components, a set above).  Calling
+    ``getrandbits`` directly consumes the identical Mersenne Twister
+    words without the wrappers' frames.
     """
     components = workspace.components()
+    count = len(components)
+    count_bits = count.bit_length()
+    # rng.sample keeps a pool list while the population fits in a
+    # small set (n <= 21 for k=2): its second draw is then below n-1.
+    pooled = count <= _SAMPLE_POOL_MAX
+    second_bits = (count - 1).bit_length() if pooled else count_bits
+    getrandbits = rng.getrandbits
+    grid_w = workspace.grid.width
+    grid_h = workspace.grid.height
     for _ in range(attempts):
         if weights is None:
-            kind = rng.choice(_MOVE_KINDS)
+            kind = getrandbits(2)
+            while kind >= 3:
+                kind = getrandbits(2)
         else:
-            kind = rng.choices(_MOVE_KINDS, weights=weights, k=1)[0]
+            kind = rng.choices(_KIND_CODES, weights=weights, k=1)[0]
         pending = None
-        if kind == "translate":
-            if components:
-                cid = rng.choice(components)
+        if kind == 0:  # translate
+            if count:
+                i = getrandbits(count_bits)
+                while i >= count:
+                    i = getrandbits(count_bits)
+                cid = components[i]
                 block = workspace.block(cid)
-                max_x = workspace.grid.width - block.width
-                max_y = workspace.grid.height - block.height
-                if max_x >= 0 and max_y >= 0:
-                    x = rng.randint(0, max_x)
-                    y = rng.randint(0, max_y)
+                span_x = grid_w - block.width + 1
+                span_y = grid_h - block.height + 1
+                if span_x > 0 and span_y > 0:
+                    bits = span_x.bit_length()
+                    x = getrandbits(bits)
+                    while x >= span_x:
+                        x = getrandbits(bits)
+                    bits = span_y.bit_length()
+                    y = getrandbits(bits)
+                    while y >= span_y:
+                        y = getrandbits(bits)
                     pending = workspace.propose_translate(cid, x, y)
-        elif kind == "swap":
-            if len(components) >= 2:
-                cid_a, cid_b = rng.sample(components, 2)
-                pending = workspace.propose_swap(cid_a, cid_b)
+        elif kind == 1:  # swap
+            if count >= 2:
+                i = getrandbits(count_bits)
+                while i >= count:
+                    i = getrandbits(count_bits)
+                if pooled:
+                    # Pool branch: the first pick's slot is refilled
+                    # with the last element, then j is drawn below n-1.
+                    j = getrandbits(second_bits)
+                    while j >= count - 1:
+                        j = getrandbits(second_bits)
+                    if j == i:
+                        j = count - 1
+                else:
+                    # Set branch: j is redrawn below n until it differs.
+                    j = getrandbits(count_bits)
+                    while j >= count or j == i:
+                        j = getrandbits(count_bits)
+                pending = workspace.propose_swap(components[i], components[j])
         else:  # rotate
-            if components:
-                cid = rng.choice(components)
-                pending = workspace.propose_rotate(cid)
+            if count:
+                i = getrandbits(count_bits)
+                while i >= count:
+                    i = getrandbits(count_bits)
+                pending = workspace.propose_rotate(components[i])
         if pending is not None:
             return pending
     return None

@@ -8,8 +8,9 @@ annealing step it:
    position) from one vectorized RNG block;
 2. validates all of them against the structure-of-arrays placement
    mirror — bounds, the no-full-span rule, and one-cell clearance as a
-   ``(K, m)`` inflated-rectangle broadcast — exactly the
-   :meth:`~repro.place.incremental.PlacementWorkspace._fits` semantics;
+   ``(K, m)`` inflated-rectangle broadcast — exactly the legality of
+   :meth:`~repro.place.placement.Placement.is_legal`, which the
+   incremental workspace's row masks also decide;
 3. evaluates every legal candidate's incident-net energy delta as a
    gather + segment-sum over a CSR net adjacency;
 4. applies Metropolis acceptance to the **greedily best** candidate
@@ -50,10 +51,7 @@ import math
 import random
 from time import perf_counter
 
-try:  # the kernel is numpy-only; batch_size=1 works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
+import numpy as _np
 
 from repro.errors import PlacementError
 from repro.obs.instrument import Instrumentation
@@ -80,11 +78,6 @@ def numpy_rng_state(np_seed: int) -> dict:
     checkpoint instead of the seed itself so every resume restores the
     *advanced* stream position, not the beginning.
     """
-    if _np is None:  # pragma: no cover - exercised via subprocess test
-        raise PlacementError(
-            "engine='batch' with batch_size > 1 requires numpy; "
-            "install it or use batch_size=1 / engine='incremental'"
-        )
     return _np.random.default_rng(np_seed).bit_generator.state
 
 
@@ -105,11 +98,6 @@ class BatchWorkspace:
         np_seed: int,
         move_weights: tuple[float, float, float] | None = None,
     ) -> None:
-        if _np is None:  # pragma: no cover - exercised via subprocess test
-            raise PlacementError(
-                "engine='batch' with batch_size > 1 requires numpy; "
-                "install it or use batch_size=1 / engine='incremental'"
-            )
         self.grid = placement.grid
         self.priorities = priorities
         self.k = batch_size
@@ -273,7 +261,7 @@ class BatchWorkspace:
         h2 = bh[partners]
 
         # Legality: bounds + no-full-span + pairwise clearance of one
-        # cell, mirroring PlacementWorkspace._fits.
+        # cell, the rules of Placement.is_legal.
         legal = ~(is_swap & (partners == comps))
         legal &= (x1 >= 0) & (y1 >= 0)
         legal &= (x1 + w1 <= width) & (y1 + h1 <= height)

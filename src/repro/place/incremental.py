@@ -9,15 +9,13 @@ two components.  :class:`PlacementWorkspace` replaces all three:
 * **In-place apply/undo** — block positions live in one mutable dict;
   an accepted move mutates it, a rejected proposal mutates nothing, and
   :meth:`undo` restores the exact pre-move state, energy included.
-* **O(1)-amortised legality** — a cell-level *occupancy index* maps
-  every covered cell (as linear index ``y * width + x``) to its
-  component.  A candidate block is checked by scanning only its
+* **Row-bitmask legality** — occupancy is one Python int per grid
+  row: bit ``x`` of ``rows[y]`` is set when a block covers cell
+  ``(x, y)``.  A candidate block is checked by AND-ing the mask of its
   one-cell-inflated rectangle (clearance ``spacing=1`` exactly as
-  :meth:`PlacedComponent.overlaps`), so legality cost depends on the
-  footprint, not on the number of components.  Below
-  :data:`INDEX_SCAN_THRESHOLD` components the index is not even
-  maintained — a plain loop of integer rectangle tests over the few
-  other blocks is cheaper than hashing the inflated rectangle's cells.
+  :meth:`PlacedComponent.overlaps`) into each row that rectangle spans,
+  so legality costs one integer test per row of the footprint whatever
+  the number of components.
 * **Delta energy** — a per-component *net adjacency* is built once from
   the :class:`~repro.place.energy.ConnectionPriorities`; a proposal
   recomputes only the nets incident to the moved component(s).
@@ -53,16 +51,6 @@ from repro.place.energy import (
 from repro.place.placement import PlacedComponent, Placement
 
 __all__ = ["PendingMove", "AppliedMove", "PlacementWorkspace"]
-
-#: Component count from which the cell-level occupancy scan beats the
-#: linear loop over blocks.  Below it, checking a candidate against
-#: every other block (a handful of integer comparisons each) is cheaper
-#: than hashing the ~(w+2)·(h+2) cells of the inflated rectangle; above
-#: it, the footprint-bounded scan wins and keeps legality O(1) in the
-#: number of components.  Both paths are exact — the choice only
-#: affects speed, never decisions.
-INDEX_SCAN_THRESHOLD = 12
-
 
 @dataclass(slots=True)
 class PendingMove:
@@ -111,15 +99,12 @@ class PlacementWorkspace:
             cid: placement.block(cid) for cid in placement.components()
         }
         self._components: list[str] = sorted(self._blocks)
-        self._use_index_scan = len(self._blocks) >= INDEX_SCAN_THRESHOLD
-        #: Occupancy index: linear cell index (y * width + x) -> cid.
-        #: Maintained only at/above :data:`INDEX_SCAN_THRESHOLD` — below
-        #: it :meth:`_fits` never reads the index, so keeping it current
-        #: would be pure overhead.
-        self._owner: dict[int, str] = {}
-        if self._use_index_scan:
-            for block in self._blocks.values():
-                self._occupy(block)
+        #: Row-bitmask occupancy: bit ``x`` of ``rows[y]`` is set when a
+        #: block covers cell ``(x, y)``.  Legal blocks never share a
+        #: cell, so toggling a block's bits (XOR) adds or removes it.
+        self.rows: list[int] = _row_masks(
+            self._height, self._blocks.values()
+        )
         #: Centre cache: component index -> doubled centre coordinate
         #: (:func:`~repro.place.energy.doubled_centre`) — list indexing
         #: is far cheaper than block attribute access in the delta loops.
@@ -178,26 +163,14 @@ class PlacementWorkspace:
         return placement_energy(self.snapshot(), self.priorities)
 
     # ------------------------------------------------------------------
-    # Occupancy index
+    # Legality
     # ------------------------------------------------------------------
-    def _occupy(self, block: PlacedComponent) -> None:
-        owner = self._owner
-        width = self._width
-        cid = block.cid
-        x0 = block.x
+    def _toggle(self, block: PlacedComponent) -> None:
+        """Flip *block*'s cells in the row masks (occupy or vacate)."""
+        rows = self.rows
+        bits = ((1 << block.width) - 1) << block.x
         for y in range(block.y, block.y + block.height):
-            base = y * width + x0
-            for offset in range(block.width):
-                owner[base + offset] = cid
-
-    def _vacate(self, block: PlacedComponent) -> None:
-        owner = self._owner
-        width = self._width
-        x0 = block.x
-        for y in range(block.y, block.y + block.height):
-            base = y * width + x0
-            for offset in range(block.width):
-                del owner[base + offset]
+            rows[y] ^= bits
 
     def _fits(
         self, x: int, y: int, width: int, height: int,
@@ -205,14 +178,12 @@ class PlacementWorkspace:
     ) -> bool:
         """Bounds + no-full-span + clearance for one candidate block.
 
-        Clearance is checked either by scanning the occupancy index over
-        the one-cell-inflated rectangle or — below
-        :data:`INDEX_SCAN_THRESHOLD` components — by a linear loop over
-        the other blocks.  Both are equivalent to ``not
-        candidate.overlaps(other, spacing=1)`` for every other block:
-        two integer-aligned rectangles violate the clearance iff the
-        other covers a cell of the candidate inflated by one cell on
-        each side.
+        Clearance holds iff no other block covers a cell of the
+        candidate inflated by one cell on each side (clipped to the
+        grid) — equivalent to ``not candidate.overlaps(other,
+        spacing=1)`` for every other block.  Each row of that rectangle
+        is one AND against the row mask, after clearing the bits of the
+        ignored block(s) on the rows they cover.
         """
         grid_w = self._width
         grid_h = self._height
@@ -222,40 +193,31 @@ class PlacementWorkspace:
             return False
         if width >= grid_w or height >= grid_h:
             return False
-        if not self._use_index_scan:
-            x_end = x + width + 1
-            y_end = y + height + 1
-            for other in self._blocks.values():
-                cid = other.cid
-                if cid == ignore_a or cid == ignore_b:
-                    continue
-                if (
-                    x_end > other.x
-                    and other.x + other.width + 1 > x
-                    and y_end > other.y
-                    and other.y + other.height + 1 > y
-                ):
-                    return False
-            return True
-        get = self._owner.get
-        x0 = x - 1 if x > 0 else 0
-        y0 = y - 1 if y > 0 else 0
-        x1 = x + width
-        if x1 > grid_w - 1:
-            x1 = grid_w - 1
-        y1 = y + height
-        if y1 > grid_h - 1:
-            y1 = grid_h - 1
-        for cy in range(y0, y1 + 1):
-            base = cy * grid_w
-            for cell in range(base + x0, base + x1 + 1):
-                occupant = get(cell)
-                if (
-                    occupant is not None
-                    and occupant != ignore_a
-                    and occupant != ignore_b
-                ):
-                    return False
+        x1 = x + width + 1 if x + width < grid_w else grid_w
+        rect = (1 << x1) - (1 << (x - 1 if x else 0))
+        y0 = y - 1 if y else 0
+        y1 = y + height + 1 if y + height < grid_h else grid_h
+        a = self._blocks[ignore_a]
+        a_y0 = a.y
+        a_y1 = a_y0 + a.height
+        a_keep = ~(((1 << a.width) - 1) << a.x)
+        if ignore_b is None:
+            b_y0 = b_y1 = -1
+            b_keep = -1
+        else:
+            b = self._blocks[ignore_b]
+            b_y0 = b.y
+            b_y1 = b_y0 + b.height
+            b_keep = ~(((1 << b.width) - 1) << b.x)
+        rows = self.rows
+        for cy in range(y0, y1):
+            row = rows[cy]
+            if a_y0 <= cy < a_y1:
+                row &= a_keep
+            if b_y0 <= cy < b_y1:
+                row &= b_keep
+            if row & rect:
+                return False
         return True
 
     # ------------------------------------------------------------------
@@ -362,8 +324,8 @@ class PlacementWorkspace:
             return None
         if not self._fits(old_a.x, old_a.y, old_b.width, old_b.height, cid_a, cid_b):
             return None
-        # Clearance of the swapped pair against each other (the index
-        # scan above ignored both).  Inline inflated-rectangle test ==
+        # Clearance of the swapped pair against each other (the row
+        # test above ignored both).  Inline inflated-rectangle test ==
         # PlacedComponent.overlaps(spacing=1) on the moved blocks.
         if not (
             old_b.x + old_a.width + 1 <= old_a.x
@@ -398,17 +360,14 @@ class PlacementWorkspace:
                     f"stale move: block of {old.cid!r} changed since the "
                     "proposal was made"
                 )
-        use_index = self._use_index_scan
-        if use_index:
-            for old, _x, _y, _w, _h in move.changes:
-                self._vacate(old)
+        for old, _x, _y, _w, _h in move.changes:
+            self._toggle(old)
         idx = self._idx
         cx = self._cx
         cy = self._cy
         for old, x, y, w, h in move.changes:
             new = PlacedComponent(old.cid, x, y, w, h)
-            if use_index:
-                self._occupy(new)
+            self._toggle(new)
             blocks[old.cid] = new
             i = idx[old.cid]
             cx[i] = 2 * x + w - 1
@@ -431,16 +390,13 @@ class PlacementWorkspace:
                 raise PlacementError(
                     f"cannot undo: block of {new.cid!r} changed after the move"
                 )
-        use_index = self._use_index_scan
-        if use_index:
-            for _old, new in applied.replacements:
-                self._vacate(new)
+        for _old, new in applied.replacements:
+            self._toggle(new)
         idx = self._idx
         cx = self._cx
         cy = self._cy
         for old, _new in applied.replacements:
-            if use_index:
-                self._occupy(old)
+            self._toggle(old)
             blocks[old.cid] = old
             i = idx[old.cid]
             cx[i], cy[i] = doubled_centre(old)
@@ -450,23 +406,15 @@ class PlacementWorkspace:
     # Invariant checks (test / paranoid-mode hooks)
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Assert index + energy invariants against the from-scratch oracle.
+        """Assert occupancy + energy invariants against the from-scratch
+        oracle.
 
-        Raises :class:`PlacementError` when the occupancy index disagrees
-        with the blocks, the placement is illegal, or the maintained
-        energy differs from a full ``energy_units`` recompute at all.
+        Raises :class:`PlacementError` when the row masks disagree with
+        the blocks, the placement is illegal, or the maintained energy
+        differs from a full ``energy_units`` recompute at all.
         """
-        if self._use_index_scan:
-            expected_owner: dict[int, str] = {}
-            for cid, block in self._blocks.items():
-                for cell in block.cells():
-                    expected_owner[cell.y * self._width + cell.x] = cid
-            if expected_owner != self._owner:
-                raise PlacementError("occupancy index out of sync with blocks")
-        elif self._owner:
-            raise PlacementError(
-                "occupancy index should stay empty below the scan threshold"
-            )
+        if _row_masks(self._height, self._blocks.values()) != self.rows:
+            raise PlacementError("row occupancy masks out of sync with blocks")
         for cid, block in self._blocks.items():
             i = self._idx[cid]
             if (self._cx[i], self._cy[i]) != doubled_centre(block):
@@ -485,3 +433,14 @@ class PlacementWorkspace:
                 f"incremental energy drifted: maintained {self.units!r} "
                 f"vs recomputed {exact!r} energy units"
             )
+
+
+def _row_masks(height: int, blocks) -> list[int]:
+    """Row bitmasks of *blocks* built from scratch (bits OR-ed in, so
+    an overlapping input still yields the covered-cell set)."""
+    rows = [0] * height
+    for block in blocks:
+        bits = ((1 << block.width) - 1) << block.x
+        for y in range(block.y, block.y + block.height):
+            rows[y] |= bits
+    return rows

@@ -8,7 +8,6 @@ from repro.route.grid_graph import (
     RoutingGrid,
 )
 from repro.route.flat import FlatOccupancy, FlatRoutingState, find_path_flat
-from repro.route.flat2 import Flat2RoutingState, find_path_flat2
 from repro.route.paths import RoutedPath
 from repro.route.router import (
     DEFAULT_ROUTE_ENGINE,
@@ -22,7 +21,6 @@ __all__ = [
     "CellUsage",
     "DEFAULT_INITIAL_WEIGHT",
     "DEFAULT_ROUTE_ENGINE",
-    "Flat2RoutingState",
     "FlatOccupancy",
     "FlatRoutingState",
     "ROUTE_ENGINES",
@@ -33,7 +31,6 @@ __all__ = [
     "TimeSlotSet",
     "find_path",
     "find_path_flat",
-    "find_path_flat2",
     "route_tasks",
     "route_tasks_baseline",
 ]

@@ -121,22 +121,15 @@ def route_tasks_baseline(
     the slide distance), and ``route.reroutes`` (accepted correction
     detours), plus the A* statistics of every search.
     """
-    if engine in ("flat", "flat2"):
-        if engine == "flat":
-            from repro.route.flat import FlatRoutingState, find_path_flat
+    if engine == "flat":
+        from repro.route.flat import FlatRoutingState, find_path_flat
 
-            grid = FlatRoutingState(placement, initial_weight=0.0)
-            flat_finder = find_path_flat
-        else:
-            from repro.route.flat2 import Flat2RoutingState, find_path_flat2
-
-            grid = Flat2RoutingState(placement, initial_weight=0.0)
-            flat_finder = find_path_flat2
+        grid = FlatRoutingState(placement, initial_weight=0.0)
 
         def shortest(sources, targets):
             # Geometry only: weights and occupation slots both hidden,
             # like the reference _ZeroWeightView.
-            return flat_finder(
+            return find_path_flat(
                 grid, sources, targets, _GEOMETRY_PROBE,
                 instrumentation=instrumentation,
                 use_weights=False, use_slots=False,
@@ -144,7 +137,7 @@ def route_tasks_baseline(
 
         def detour(sources, targets, slot):
             # Occupation-aware but uniform-cost, like _UniformCostView.
-            return flat_finder(
+            return find_path_flat(
                 grid, sources, targets, slot,
                 instrumentation=instrumentation,
                 use_weights=False, use_slots=True,
@@ -166,11 +159,12 @@ def route_tasks_baseline(
         raise RoutingError(
             f"unknown route engine {engine!r}; expected one of {ROUTE_ENGINES}"
         )
-    # flat2's postponement fast-forward (see repro.route.flat2): skip
-    # retry delays whose occupancy flags provably match the failing
-    # attempt's, bumping the retry counter by the skipped step count.
+    # The flat engine's postponement fast-forward (see
+    # repro.route.flat): skip retry delays whose occupancy flags
+    # provably match the failing attempt's, bumping the retry counter
+    # by the skipped step count.
     advance = getattr(grid, "advance_delay", None)
-    # Interval retirement (flat2): drop committed intervals that end
+    # Interval retirement (flat): drop committed intervals that end
     # before every conflict window the remaining tasks can query — see
     # route_tasks; correction detours probe transit windows only, so
     # the same suffix-minimum bound applies.

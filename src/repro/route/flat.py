@@ -14,16 +14,66 @@ state:
 * per-cell occupation slots live in :class:`FlatOccupancy`, an
   interval index of parallel sorted ``(starts, ends)`` float lists per
   cell, replacing :class:`~repro.route.timeslots.TimeSlotSet` object
-  traffic on the admissibility check (untouched cells are a single
-  ``is None`` test);
+  traffic on the point queries (``is_free``, the commit check and the
+  goal-slot test);
 * neighbours come from a table precomputed once per grid — no
   ``Cell.neighbours()`` tuple construction per expansion;
-* the A* heuristic is read from a distance array precomputed per
-  search (min Manhattan distance to the target set), instead of being
-  recomputed per visited cell.
+* the A* heuristic is a distance map per target set (min Manhattan
+  distance, one vectorized reduction), memoized on the state.
+
+The dominant costs of the search sit in numpy kernels:
+
+* **Admissibility masks** — instead of a per-neighbour interval-index
+  probe, each search builds one byte mask of inadmissible cells
+  (blocked ∪ slot-conflicting): two vectorized comparisons over
+  preallocated interval buffers (appended on commit, compacted by
+  :meth:`FlatRoutingState.retire_intervals` once an interval can never
+  conflict again) flag the conflicting intervals, a scatter maps them
+  onto cells, and the expansion loop is then a single byte load per
+  neighbour.  The mask evaluates exactly the
+  :meth:`FlatOccupancy.conflicts` conditions (interval length, start,
+  end against ``EPSILON``), element-wise.
+* **Unreachability fast-reject** — on saturated grids most
+  conflict-aware searches *fail* (the postponement crawl probes the
+  same congested region again and again), and a failing A* must exhaust
+  its entire reachable region before giving up.  But failure is
+  decidable without the heap or the cost arithmetic: A* can only
+  traverse admissible cells, so the search provably returns ``None``
+  unless an admissible target is 4-connected to an admissible source.
+  Port-level checks (no admissible source, or no admissible target)
+  answer most rejects for free; the rest run an early-exit depth-first
+  sweep over the mask, which stops at the first admissible target
+  reached and, when there is none, only visits the sources'
+  congestion-boxed free component.  Only searches that *can* succeed
+  pay for the exact A* — which then returns the byte-identical path.
+  Fast-rejected searches report ``expanded=0`` in the A* statistics;
+  every other observable (paths, slots, postponements) is untouched.
+* **Search arena** — the closed/cost/parent arrays are preallocated
+  once per state and reset by slice assignment, instead of being
+  rebuilt per search — and only once a search has survived the
+  fast-reject.  Port index tuples and their target byte masks are
+  memoized per port list (the routers reuse one list per component).
+* **Postponement fast-forward** — on sparse occupancies the routers'
+  1-second postponement crawl re-attempts a failing task against an
+  *unchanged* occupancy, sliding only the task's own fixed-shape
+  windows.  Each stored interval's conflict flag conjoins two float
+  comparisons, each a monotone step function of the delay (the window
+  start/end grow monotonically with the delay, IEEE float addition of
+  a fixed addend preserves order, so each comparison flips at most
+  once), and "some comparison differs from its state at the current
+  delay" is therefore a monotone predicate —
+  :meth:`FlatRoutingState.advance_delay` binary-searches the first
+  integer step at which that comparison signature changes and tells
+  the router to skip straight to it.  Delays in between provably
+  produce the identical flag state, hence the identical search and
+  slot-plan outcome, so path identity (and the
+  ``route.conflict_retries`` totals, which the router bumps by the
+  skipped step count) is preserved exactly.  On dense occupancies some
+  flag flips almost every step; a one-probe early exit keeps the
+  mechanism near-free there.
 
 The engine is **bit-compatible** with the reference: identical paths,
-identical expansion/reopen counters, and — because committed paths are
+slot plans and postponements, and — because committed paths are
 replayed through :meth:`FlatRoutingState.to_routing_grid` — an
 identical final :class:`~repro.route.grid_graph.RoutingGrid` for the
 metrics, checker, wash, and visualisation stages.  The parity tests in
@@ -38,10 +88,7 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import Iterable
 
-try:  # numpy accelerates the heuristic precompute; plain python works too
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
+import numpy as np
 
 from repro.assay.fluids import Fluid
 from repro.errors import RoutingError, ValidationError
@@ -51,6 +98,7 @@ from repro.place.placement import Placement
 from repro.route.astar import _flush_search_stats
 from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
 from repro.route.timeslots import TimeSlot
+from repro.schedule.tasks import TransportTask
 from repro.units import EPSILON, Seconds
 
 __all__ = [
@@ -59,6 +107,10 @@ __all__ = [
     "find_path_flat",
     "static_tables",
 ]
+
+#: Default fast-forward horizon, matching the routers' postponement
+#: budget (:data:`repro.route.router._POSTPONE_LIMIT`).
+_DEFAULT_HORIZON = 1000
 
 
 #: Per-grid-signature memo of the immutable search tables.  The tie and
@@ -109,6 +161,28 @@ def static_tables(
     return ties, neighbours
 
 
+def _task_windows(
+    task: TransportTask, delay: Seconds
+) -> tuple[tuple[float, float], ...]:
+    """The three occupation windows an attempt at *delay* checks.
+
+    Mirrors :func:`repro.route.router._transit_slot`,
+    :func:`~repro.route.router._cache_slot`, and the tail slot built in
+    :func:`~repro.route.router.plan_path_slots` — float for float, so
+    the fast-forward's flag evaluation sees exactly the windows the
+    real attempt would.
+    """
+    ts, te = task.transit_occupation
+    os_, oe = task.occupation
+    travel = task.arrive - task.depart
+    tail_start = max(task.depart + delay, task.consume + delay - travel)
+    return (
+        (ts + delay, te + delay),
+        (os_ + delay, oe + delay),
+        (tail_start, oe + delay),
+    )
+
+
 class FlatOccupancy:
     """Per-cell occupation intervals over flat cell indices.
 
@@ -116,8 +190,10 @@ class FlatOccupancy:
     TimeSlotSet` per cell — same half-open ``[start, end)`` intervals,
     same ``EPSILON`` slack at the joints, zero-length slots conflict
     with nothing — but stored as two parallel sorted float lists per
-    *touched* cell.  Untouched cells cost one ``is None`` check, which
-    is the common case on the A* hot path.
+    *touched* cell.  Untouched cells cost one ``is None`` check.  It
+    answers the point queries (``is_free``, the commit check, the
+    goal-slot test); searches read the vectorized admissibility mask of
+    :meth:`FlatRoutingState._admissible_status` instead.
     """
 
     __slots__ = ("starts", "ends")
@@ -193,6 +269,10 @@ class FlatRoutingState:
     replays the log through the reference grid's own ``commit_path`` so
     the result handed to metrics/checker/viz is *the same object kind
     in the same state* as a reference-engine run.
+
+    Every committed occupation slot is also appended to a flat interval
+    log (the postponement fast-forward's exact input) and to the numpy
+    interval buffers the admissibility masks are built from.
     """
 
     def __init__(
@@ -228,13 +308,67 @@ class FlatRoutingState:
         #: cache lives as long as the state.  If a subclass ever mutates
         #: ``blocked`` it must call :meth:`invalidate_heuristics`.
         self._dist_cache: dict[tuple[int, ...], list[int]] = {}
-        if _np is not None:
-            indices = _np.arange(n, dtype=_np.int64)
-            self._np_xs = indices % width
-            self._np_ys = indices // width
+        indices = np.arange(n, dtype=np.int64)
+        self._np_xs = indices % width
+        self._np_ys = indices // width
         self._log: list[
             tuple[tuple[Cell, ...], str, Fluid, tuple[TimeSlot, ...], Seconds]
         ] = []
+        #: Flat log of every committed occupation interval, appended in
+        #: commit order; the numpy mirrors the fast-forward reads are
+        #: rebuilt lazily per epoch (one epoch per commit).
+        self._int_cells: list[int] = []
+        self._int_starts: list[float] = []
+        self._int_ends: list[float] = []
+        self._epoch = 0
+        self._arrays_epoch = -1
+        self._arrays: tuple | None = None
+        #: Immutable obstacle mask as bytes — the admissibility mask of
+        #: every slot-free search, and the base layer of every other.
+        self._blocked_bytes = bytes(blocked)
+        self._blocked_bool = (
+            np.frombuffer(self._blocked_bytes, dtype=np.uint8) != 0
+        )
+        # Interval buffers for the vectorized mask build (see
+        # _admissible_status): preallocated, grown by doubling, appended
+        # by commit_path.  Zero-length slots are dropped at append time
+        # (they conflict with nothing), and ends are stored with the
+        # EPSILON already subtracted — the mask build is then three
+        # elementwise ops over warm buffers with no per-query
+        # list-to-array conversion.
+        self._buf_count = 0
+        self._buf_capacity = 1024
+        self._buf_cells = np.empty(self._buf_capacity, dtype=np.intp)
+        self._buf_starts = np.empty(self._buf_capacity, dtype=np.float64)
+        self._buf_ends_eps = np.empty(self._buf_capacity, dtype=np.float64)
+        self._flags_a = np.empty(self._buf_capacity, dtype=bool)
+        self._flags_b = np.empty(self._buf_capacity, dtype=bool)
+        self._conflict_scratch = np.empty(n, dtype=bool)
+        self._mask_scratch = np.empty(n, dtype=bool)
+        self._mask_memo: tuple[float, float, int, bytes] | None = None
+        #: Bounds- and obstacle-filtered port indices, keyed by the
+        #: identity of the port list the router passes in.  The routers
+        #: compute each component's ports once and reuse the same list
+        #: for every task touching the component, so identity is a
+        #: stable key for the duration of a routing run; the cached
+        #: entry keeps a reference to the list so the id cannot be
+        #: recycled while the cache lives.
+        self._port_filter_cache: dict[int, tuple[object, tuple[int, ...]]] = {}
+        #: Byte masks with 1 at each port index, keyed by the filtered
+        #: index tuple — the reachability fast-reject's target test and
+        #: the A* goal test both read them (read-only, so sharing one
+        #: bytearray per port set is safe).
+        self._port_bits_cache: dict[tuple[int, ...], bytearray] = {}
+        # Search arena: reset by slice assignment per search instead of
+        # reallocating.  The templates hold the reset values.
+        inf = float("inf")
+        self._inf = inf
+        self._inf_list: list[float] = [inf] * n
+        self._neg1_list: list[int] = [-1] * n
+        self._zero_weights: list[float] = [0.0] * n
+        self._acc: list[float] = [inf] * n
+        self._parent: list[int] = [-1] * n
+        self._status = bytearray(n)
 
     # ------------------------------------------------------------------
     # Heuristic cache
@@ -245,12 +379,15 @@ class FlatRoutingState:
 
     def distance_map(
         self,
-        target_indices: list[int],
+        target_indices: tuple[int, ...],
         instrumentation: Instrumentation | None = None,
     ) -> list[int]:
-        """Memoized :func:`_distance_map` over the target set.
+        """Min Manhattan distance from every cell to the target set.
 
-        On the scale tier the same few target sets (one per component's
+        The reference heuristic ignores obstacles (it is a lower bound),
+        so this is a pure geometric distance map: one vectorized
+        min-reduction over the targets, memoized per target set.  On
+        the scale tier the same few target sets (one per component's
         port group) recur across hundreds of searches — Scale200 builds
         1.8k distance maps over only ~34 distinct target sets.  A cache
         hit bumps the ``astar.heuristic_cache_hits`` counter.
@@ -258,7 +395,18 @@ class FlatRoutingState:
         key = tuple(target_indices)
         dist = self._dist_cache.get(key)
         if dist is None:
-            dist = _distance_map(self, target_indices)
+            width = self.width
+            xs = self._np_xs
+            ys = self._np_ys
+            best = None
+            for index in key:
+                d = abs(xs - (index % width)) + abs(ys - (index // width))
+                if best is None:
+                    best = d
+                else:
+                    np.minimum(best, d, out=best)
+            assert best is not None
+            dist = best.tolist()
             self._dist_cache[key] = dist
         elif instrumentation is not None:
             instrumentation.count("astar.heuristic_cache_hits")
@@ -323,9 +471,67 @@ class FlatRoutingState:
         weights = self.weights
         for cell, slot in zip(cells, slots):
             index = cell.y * width + cell.x
-            occupancy.add(index, slot.start, slot.end)
+            start = slot.start
+            end = slot.end
+            occupancy.add(index, start, end)
             weights[index] = wash_time
+            self._int_cells.append(index)
+            self._int_starts.append(start)
+            self._int_ends.append(end)
+            if end - start > EPSILON:  # zero-length slots conflict with nothing
+                self._buffer_interval(index, start, end)
+        self._epoch += 1
         self._log.append((cells, task_id, fluid, tuple(slots), wash_time))
+
+    def _buffer_interval(self, index: int, start: float, end: float) -> None:
+        """Append one interval to the mask buffers, doubling when full."""
+        count = self._buf_count
+        if count == self._buf_capacity:
+            self._buf_capacity *= 2
+            for name in (
+                "_buf_cells", "_buf_starts", "_buf_ends_eps",
+                "_flags_a", "_flags_b",
+            ):
+                grown = np.empty(
+                    self._buf_capacity, dtype=getattr(self, name).dtype
+                )
+                grown[:count] = getattr(self, name)
+                setattr(self, name, grown)
+        self._buf_cells[count] = index
+        self._buf_starts[count] = start
+        self._buf_ends_eps[count] = end - EPSILON
+        self._buf_count = count + 1
+
+    def retire_intervals(self, bound: Seconds) -> None:
+        """Drop buffered intervals that can never conflict again.
+
+        *bound* must be a lower bound on the start of every future
+        conflict window this state will be asked about.  The routers
+        process tasks in depart order and query only transit windows,
+        whose starts never fall below the suffix-minimum of the
+        remaining tasks' transit starts — so an interval whose
+        (epsilon-adjusted) end is at or before *bound* fails the
+        ``end > window_start`` conflict condition of every future query
+        and can be dropped from the mask buffers outright.  Masks are
+        bit-identical with or without retirement; only the number of
+        intervals each vectorized pass touches shrinks (~3x on
+        Scale200, where most of the log is history by mid-run).
+
+        The full interval log (``_int_cells`` et al.) is untouched —
+        :meth:`advance_delay` keeps evaluating exact flags over
+        everything ever committed.
+        """
+        count = self._buf_count
+        if not count:
+            return
+        keep = self._buf_ends_eps[:count] > bound
+        kept = int(keep.sum())
+        if kept == count:
+            return
+        self._buf_cells[:kept] = self._buf_cells[:count][keep]
+        self._buf_starts[:kept] = self._buf_starts[:count][keep]
+        self._buf_ends_eps[:kept] = self._buf_ends_eps[:count][keep]
+        self._buf_count = kept
 
     def to_routing_grid(self) -> RoutingGrid:
         """Replay the commit log into a reference grid.
@@ -342,55 +548,210 @@ class FlatRoutingState:
         grid._replay_log(self._log)
         return grid
 
+    # ------------------------------------------------------------------
+    # Vectorized admissibility
+    # ------------------------------------------------------------------
+    def _admissible_status(self, cs: float, ce: float, check_slot: bool) -> bytes:
+        """Bytes where nonzero = inadmissible (blocked or conflicting).
 
-def _distance_map(state: FlatRoutingState, target_indices: list[int]) -> list[int]:
-    """Min Manhattan distance from every cell to the target set.
+        Element-wise identical to ``blocked[i] or occupancy.conflicts(i,
+        cs, ce)``: an interval conflicts with ``[cs, ce)`` iff it is
+        longer than ``EPSILON``, starts before ``ce - EPSILON``, and
+        ends after ``cs + EPSILON`` — the exact float comparisons of
+        :meth:`FlatOccupancy.conflicts`.
 
-    The reference heuristic ignores obstacles (it is a lower bound), so
-    this is a pure geometric distance map.  With numpy it is a
-    vectorised min-reduction over the targets; the fallback is a
-    two-pass L1 chamfer sweep — both produce the exact same integers.
-    """
-    width = state.width
-    if _np is not None:
-        best = None
-        xs = state._np_xs
-        ys = state._np_ys
-        for index in target_indices:
-            d = abs(xs - (index % width)) + abs(ys - (index // width))
-            if best is None:
-                best = d
+        Every query is one vectorized full pass over the preallocated
+        interval buffers (appended by :meth:`commit_path`): two
+        elementwise comparisons produce the conflicting-interval flags,
+        a fancy-index assignment scatters them onto the cells, and an
+        ``or`` with the obstacle mask yields the admissibility bytes.
+        On realistic logs (a few thousand intervals) this costs single-
+        digit microseconds — flatly, with no window-locality assumption
+        for a crawl to break.  A one-entry memo keyed by
+        ``(window, epoch)`` catches back-to-back identical queries.
+        """
+        count = self._buf_count
+        if not check_slot or not count:
+            return self._blocked_bytes
+        memo = self._mask_memo
+        if (
+            memo is not None
+            and memo[0] == cs and memo[1] == ce and memo[2] == self._epoch
+        ):
+            return memo[3]
+        flags = self._flags_a[:count]
+        other = self._flags_b[:count]
+        np.less(self._buf_starts[:count], ce - EPSILON, out=flags)
+        np.greater(self._buf_ends_eps[:count], cs, out=other)
+        np.logical_and(flags, other, out=flags)
+        conflict = self._conflict_scratch
+        conflict[:] = False
+        conflict[self._buf_cells[:count][flags]] = True
+        mask = np.logical_or(conflict, self._blocked_bool, out=self._mask_scratch)
+        result = mask.tobytes()
+        self._mask_memo = (cs, ce, self._epoch, result)
+        return result
+
+    # ------------------------------------------------------------------
+    # Postponement fast-forward
+    # ------------------------------------------------------------------
+    def _interval_arrays(self):
+        """Numpy mirrors of the interval log for the current epoch.
+
+        Returns ``(cells, starts, ends_eps, len_ok, false_flags)`` where
+        ``ends_eps`` is ``ends - EPSILON`` (the float every scalar
+        conflict check subtracts) and ``len_ok`` masks intervals longer
+        than ``EPSILON`` — zero-length slots conflict with nothing.
+        """
+        if self._arrays_epoch != self._epoch:
+            cells = np.array(self._int_cells, dtype=np.int64)
+            starts = np.array(self._int_starts, dtype=np.float64)
+            ends = np.array(self._int_ends, dtype=np.float64)
+            self._arrays = (
+                cells,
+                starts,
+                ends - EPSILON,
+                (ends - starts) > EPSILON,
+                np.zeros(len(cells), dtype=bool),
+            )
+            self._arrays_epoch = self._epoch
+        return self._arrays
+
+    def _window_flags(self, task: TransportTask, delay: Seconds) -> list:
+        """Per-interval conflict flags of every window at *delay*."""
+        return [
+            opened & closing
+            for opened, closing in self._window_signature(task, delay)
+        ]
+
+    def _window_signature(self, task: TransportTask, delay: Seconds) -> list:
+        """Per-window ``(opened, closing)`` comparison vectors at *delay*.
+
+        ``opened[i]`` is the interval-starts-before-window-end
+        comparison (monotone False→True in the delay) and ``closing[i]``
+        the interval-ends-after-window-start one (monotone True→False);
+        a conflict flag is their conjunction.  The signature determines
+        the flag state, and — unlike the flags themselves, which can go
+        off→on→off as a window slides past an interval — every
+        component flips at most once, which is what makes "the
+        signature differs from its base state" binary-searchable.
+        """
+        cells, starts, ends_eps, len_ok, false_flags = self._interval_arrays()
+        signature = []
+        for ws, we in _task_windows(task, delay):
+            if we - ws <= EPSILON:
+                # A window's length is delay-invariant, so a degenerate
+                # window conflicts with nothing at every delay.
+                signature.append((false_flags, false_flags))
             else:
-                _np.minimum(best, d, out=best)
-        assert best is not None
-        return best.tolist()
-    height = state.height
-    n = width * height
-    infinity = n * 4  # larger than any on-grid distance
-    dist = [infinity] * n
-    for index in target_indices:
-        dist[index] = 0
-    for y in range(height):
-        row = y * width
-        for x in range(width):
-            i = row + x
-            d = dist[i]
-            if x and dist[i - 1] + 1 < d:
-                d = dist[i - 1] + 1
-            if y and dist[i - width] + 1 < d:
-                d = dist[i - width] + 1
-            dist[i] = d
-    for y in range(height - 1, -1, -1):
-        row = y * width
-        for x in range(width - 1, -1, -1):
-            i = row + x
-            d = dist[i]
-            if x + 1 < width and dist[i + 1] + 1 < d:
-                d = dist[i + 1] + 1
-            if y + 1 < height and dist[i + width] + 1 < d:
-                d = dist[i + width] + 1
-            dist[i] = d
-    return dist
+                signature.append((
+                    len_ok & (starts < we - EPSILON),
+                    len_ok & (ends_eps > ws),
+                ))
+        return signature
+
+    def advance_delay(
+        self,
+        task: TransportTask,
+        delay: Seconds,
+        horizon: int = _DEFAULT_HORIZON,
+        instrumentation: Instrumentation | None = None,
+    ) -> int | None:
+        """Steps (of 1 s) until the occupancy state seen by *task* can
+        change, given that the attempt at *delay* just failed.
+
+        Every retry of the postponement crawl evaluates the same
+        committed intervals against the task's windows slid by the
+        delay; an attempt's outcome is a pure function of the
+        per-interval conflict flags.  A flag itself is *not* monotone
+        (a window sliding past an interval takes it off→on→off), but
+        each of the two float comparisons it conjoins flips at most
+        once — so the binary search runs over that comparison
+        *signature* (see :meth:`_window_signature`), with exact
+        (vectorized) evaluation at each probe.  Signature-identical
+        delays have identical flags, so skipped delays provably
+        reproduce the failing attempt and the caller may jump straight
+        to the returned step count (at worst a conservative stop where
+        a comparison flipped without changing any flag).
+
+        Returns a value in ``[1, horizon]`` — *horizon* itself when no
+        flag changes within the budget (the remaining retries are all
+        provably futile) — or ``None`` when the horizon is too small to
+        skip anything.
+        """
+        if horizon <= 1:
+            return None
+        if not self._int_cells:
+            # Empty occupancy: the failure cannot involve slot
+            # conflicts, so no delay can fix it.
+            return horizon
+        started = perf_counter()
+        array_equal = np.array_equal
+        base = self._window_signature(task, delay)
+
+        def differs(k: int) -> bool:
+            probe = self._window_signature(task, delay + k * 1.0)
+            return any(
+                not (array_equal(a[0], b[0]) and array_equal(a[1], b[1]))
+                for a, b in zip(base, probe)
+            )
+
+        if differs(1):
+            # Dense-occupancy common case: some interval boundary is
+            # crossed on the very next step.  One probe, no search.
+            steps = 1
+        elif not differs(horizon):
+            steps = horizon
+        else:
+            lo, hi = 2, horizon
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if differs(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            steps = lo
+        if instrumentation is not None:
+            instrumentation.observe(
+                "route.advance_seconds", perf_counter() - started
+            )
+        return steps
+
+
+def _port_indices(
+    grid: FlatRoutingState,
+    ports: Iterable[Cell],
+    width: int,
+    height: int,
+    blocked,
+) -> tuple[int, ...]:
+    """Bounds- and obstacle-filtered flat indices of a port set.
+
+    Pure geometry (the slot mask is applied by the caller), so the
+    result is memoized per port-list identity — the routers pass the
+    same per-component list for every task, and the cache entry pins
+    the list alive, keeping the id stable.  Non-list iterables are
+    filtered directly (they may be single-shot generators).
+    """
+    if not isinstance(ports, (list, tuple)):
+        return tuple(
+            y * width + x
+            for x, y in ports
+            if 0 <= x < width and 0 <= y < height
+            and not blocked[y * width + x]
+        )
+    cache = grid._port_filter_cache
+    entry = cache.get(id(ports))
+    if entry is None or entry[0] is not ports:
+        indices = tuple(
+            y * width + x
+            for x, y in ports
+            if 0 <= x < width and 0 <= y < height
+            and not blocked[y * width + x]
+        )
+        cache[id(ports)] = (ports, indices)
+        return indices
+    return entry[1]
 
 
 def find_path_flat(
@@ -407,8 +768,11 @@ def find_path_flat(
     """Flat-index twin of :func:`repro.route.astar.find_path`.
 
     Same Eq. 5 search, same cost arithmetic, same ``(f, (x, y))`` heap
-    order (encoded as ``x * height + y``), same instrumentation
-    counters — returning the identical cell path or ``None``.
+    order (encoded as ``x * height + y``) — returning the identical
+    cell path or ``None``.  The admissibility test is precomputed as
+    one byte mask, provably failing searches are rejected before the
+    heap (see the module docstring), and the per-search arrays come
+    from the state's arena.
 
     ``use_weights=False`` zeroes the ``w(k)`` term and
     ``use_slots=False`` skips occupation checks, replicating the
@@ -421,9 +785,7 @@ def find_path_flat(
     width = grid.width
     height = grid.height
     blocked = grid.blocked
-    occupancy = grid.occupancy
-    conflicts = occupancy.conflicts
-    occupancy_starts = occupancy.starts
+    conflicts = grid.occupancy.conflicts
     cs = slot.start
     ce = slot.end
     check_slot = use_slots and (ce - cs) > EPSILON
@@ -431,44 +793,80 @@ def find_path_flat(
     ge = goal_slot.end
     check_goal = use_slots and (ge - gs) > EPSILON
 
-    target_indices: list[int] = []
-    for target in targets:
-        x, y = target
-        if 0 <= x < width and 0 <= y < height:
-            index = y * width + x
-            if not blocked[index]:
-                target_indices.append(index)
-    source_indices: list[int] = []
-    for source in sources:
-        x, y = source
-        if not (0 <= x < width and 0 <= y < height):
-            continue
-        index = y * width + x
-        if blocked[index]:
-            continue
-        if check_slot and conflicts(index, cs, ce):
-            continue
-        source_indices.append(index)
-    if not target_indices or not source_indices:
+    mask = grid._admissible_status(cs, ce, check_slot)
+
+    target_indices = _port_indices(grid, targets, width, height, blocked)
+    source_indices = [i for i in _port_indices(
+        grid, sources, width, height, blocked
+    ) if not mask[i]]
+    free_target = any(not mask[i] for i in target_indices)
+    # A* seeds only admissible sources and a goal is accepted only when
+    # popped open, so no admissible source — or no admissible target at
+    # all — is an immediate provable failure (the second test is what
+    # saves the reachability sweep on the saturated-ports common case).
+    if not target_indices or not source_indices or not free_target:
         _flush_search_stats(
             instrumentation, expanded=0, reopened=0, found=False,
             elapsed=perf_counter() - started,
         )
         return None
 
-    n = width * height
-    dist = grid.distance_map(target_indices, instrumentation)
-    weights = grid.weights if use_weights else [0.0] * n
-    ties = grid.ties
-    neighbour_table = grid.neighbours
-    target_mask = bytearray(n)
-    for index in target_indices:
-        target_mask[index] = 1
+    target_mask = grid._port_bits_cache.get(target_indices)
+    if target_mask is None:
+        target_mask = bytearray(width * height)
+        for index in target_indices:
+            target_mask[index] = 1
+        grid._port_bits_cache[target_indices] = target_mask
 
-    inf = float("inf")
-    accumulated: list[float] = [inf] * n
-    parent: list[int] = [-1] * n
-    closed = bytearray(n)
+    neighbour_table = grid.neighbours
+    if check_slot:
+        # Unreachability fast-reject — the big saving on saturated
+        # grids.  A* can only traverse admissible cells, so the search
+        # provably fails unless an admissible target is 4-connected to
+        # an admissible source.  An early-exit depth-first sweep over
+        # the mask answers that: successful searches stop at the first
+        # admissible target reached, and failing ones only visit the
+        # sources' (congestion-boxed, hence small) free component —
+        # which is why this beats a full connected-component labelling.
+        # Sound in one direction only — reachable searches still run
+        # the exact A* below (the goal-slot gate can fail them) — so
+        # the returned paths are unchanged.
+        visited = bytearray(mask)
+        reached = False
+        stack: list[int] = []
+        for index in source_indices:
+            if target_mask[index]:
+                reached = True
+                break
+            visited[index] = 1
+            stack.append(index)
+        while stack and not reached:
+            index = stack.pop()
+            for ni in neighbour_table[index]:
+                if not visited[ni]:
+                    if target_mask[ni]:
+                        reached = True
+                        break
+                    visited[ni] = 1
+                    stack.append(ni)
+        if not reached:
+            _flush_search_stats(
+                instrumentation, expanded=0, reopened=0, found=False,
+                elapsed=perf_counter() - started,
+            )
+            return None
+
+    status = grid._status
+    status[:] = mask
+    dist = grid.distance_map(target_indices, instrumentation)
+    weights = grid.weights if use_weights else grid._zero_weights
+    ties = grid.ties
+
+    inf = grid._inf
+    accumulated = grid._acc
+    accumulated[:] = grid._inf_list
+    parent = grid._parent
+    parent[:] = grid._neg1_list
     open_heap: list[tuple[float, int, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -484,9 +882,9 @@ def find_path_flat(
     path: tuple[Cell, ...] | None = None
     while open_heap:
         _f, _tie, index = heappop(open_heap)
-        if closed[index]:
+        if status[index]:
             continue
-        closed[index] = 1
+        status[index] = 1  # close
         expanded += 1
         if target_mask[index] and not (
             check_goal and conflicts(index, gs, ge)
@@ -501,20 +899,15 @@ def find_path_flat(
             break
         base = accumulated[index] + 1.0
         for ni in neighbour_table[index]:
-            # A consistent heuristic settles a cell's cost when it is
-            # closed, so a closed neighbour can never improve.
-            if closed[ni] or blocked[ni]:
-                continue
-            if (
-                check_slot
-                and occupancy_starts[ni] is not None
-                and conflicts(ni, cs, ce)
-            ):
+            # status folds blocked, slot conflicts, and closure into a
+            # single byte; a consistent heuristic means a closed
+            # neighbour can never improve.
+            if status[ni]:
                 continue
             cost = base + weights[ni]
             old = accumulated[ni]
             if cost < old:
-                if old is not inf:
+                if old != inf:
                     reopened += 1
                 accumulated[ni] = cost
                 parent[ni] = index

@@ -50,36 +50,32 @@ __all__ = [
 #: Step and budget for the defensive postponement fallback.
 _POSTPONE_STEP: Seconds = 1.0
 _POSTPONE_LIMIT: int = 1000
-#: Consult the flat2 postponement fast-forward only every this many
-#: crawl steps — deep crawls amortise its cost, shallow ones skip it.
+#: Consult the flat engine's postponement fast-forward only every this
+#: many crawl steps — deep crawls amortise its cost, shallow ones skip it.
 _ADVANCE_STRIDE: int = 32
-#: Compact the flat2 interval buffers only every this many tasks.
+#: Compact the flat engine's interval buffers only every this many tasks.
 _RETIRE_STRIDE: int = 8
 
-#: Routing engines: ``"flat"`` (integer-indexed arrays, see
-#: :mod:`repro.route.flat`), ``"flat2"`` (the vectorized kernels of
-#: :mod:`repro.route.flat2` — numpy admissibility masks, search arena,
-#: postponement fast-forward), and ``"reference"`` (the Cell/dict
-#: oracle).  All produce byte-identical paths, slot plans, and metrics;
-#: the choice only affects runtime.
-ROUTE_ENGINES = ("flat", "flat2", "reference")
+#: Routing engines: ``"flat"`` (integer-indexed arrays and the numpy
+#: kernels of :mod:`repro.route.flat` — admissibility masks,
+#: unreachability fast-reject, search arena, postponement fast-forward)
+#: and ``"reference"`` (the Cell/dict oracle).  Both produce
+#: byte-identical paths, slot plans, and metrics; the choice only
+#: affects runtime.
+ROUTE_ENGINES = ("flat", "reference")
 DEFAULT_ROUTE_ENGINE = "flat"
 
 
 def _make_engine(placement: Placement, initial_weight: float, engine: str):
     """Build the (grid, path finder) pair for *engine*.
 
-    The flat engines are imported lazily so reference-engine runs never
-    pay for them (and the optional numpy import they may perform).
+    The flat engine is imported lazily so reference-engine runs never
+    pay for it (and the numpy import it performs).
     """
     if engine == "flat":
         from repro.route.flat import FlatRoutingState, find_path_flat
 
         return FlatRoutingState(placement, initial_weight), find_path_flat
-    if engine == "flat2":
-        from repro.route.flat2 import Flat2RoutingState, find_path_flat2
-
-        return Flat2RoutingState(placement, initial_weight), find_path_flat2
     if engine == "reference":
         return RoutingGrid(placement, initial_weight), find_path
     raise RoutingError(
@@ -255,7 +251,7 @@ def route_tasks(
     the A* search statistics via the engine's path finder).
     """
     grid, finder = _make_engine(placement, initial_weight, engine)
-    # Engines exposing advance_delay (flat2) can prove a span of
+    # Engines exposing advance_delay (flat) can prove a span of
     # postponement retries futile — the occupancy flags the failing
     # attempt evaluated are unchanged across it — and let the crawl
     # jump.  The retry counter is bumped by the skipped step count, so
@@ -263,7 +259,7 @@ def route_tasks(
     advance = getattr(grid, "advance_delay", None)
     result = RoutingResult(placement=placement, grid=None)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
-    # Engines exposing retire_intervals (flat2) can drop committed
+    # Engines exposing retire_intervals (flat) can drop committed
     # intervals that end before every conflict window any remaining
     # task can ever query — the suffix-minimum of the transit starts
     # bounds those windows from below (delays only push them later).

@@ -330,10 +330,18 @@ def _print_result(body: dict[str, Any]) -> int:
     return 0
 
 
-def run_submit(argv: list[str] | None = None) -> int:
-    """Implementation of ``python -m repro submit`` (returns exit code)."""
+def _submit_parser():
+    """The ``python -m repro submit`` argument parser.
+
+    Engine and check choices are the sets :class:`~repro.core.problem.
+    SynthesisParameters` accepts, so the client never offers a value
+    the server answers with a 422.
+    """
     import argparse
-    import sys
+
+    from repro.check.report import CHECK_MODES
+    from repro.place.annealing import PLACEMENT_ENGINES
+    from repro.route.router import ROUTE_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro submit",
@@ -351,13 +359,10 @@ def run_submit(argv: list[str] | None = None) -> int:
     parser.add_argument("-f", "--filters", type=int, default=0)
     parser.add_argument("-d", "--detectors", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--engine", default=None,
-                        choices=["naive", "incremental", "batch"])
-    parser.add_argument("--route-engine", default=None,
-                        choices=["grid", "flat", "flat2"])
+    parser.add_argument("--engine", default=None, choices=PLACEMENT_ENGINES)
+    parser.add_argument("--route-engine", default=None, choices=ROUTE_ENGINES)
     parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--check", default=None,
-                        choices=["off", "basic", "strict"])
+    parser.add_argument("--check", default=None, choices=CHECK_MODES)
     parser.add_argument("--tc", type=float, default=None,
                         help="transport time constant")
     parser.add_argument("--algorithm", default="ours",
@@ -378,7 +383,14 @@ def run_submit(argv: list[str] | None = None) -> int:
                         help="print GET /stats and exit")
     parser.add_argument("--shutdown", action="store_true",
                         help="ask the server to drain and stop")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run_submit(argv: list[str] | None = None) -> int:
+    """Implementation of ``python -m repro submit`` (returns exit code)."""
+    import sys
+
+    args = _submit_parser().parse_args(argv)
 
     client = ServeClient(args.url)
     try:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks.registry import get_benchmark
 from repro.core.problem import SynthesisProblem
@@ -29,11 +31,9 @@ from repro.place.energy import (
     placement_energy,
 )
 from repro.place.grid import ChipGrid
-from repro.place.incremental import (
-    INDEX_SCAN_THRESHOLD,
-    PlacementWorkspace,
-)
+from repro.place.incremental import PlacementWorkspace
 from repro.place.moves import random_placement
+from repro.place.placement import PlacedComponent
 from repro.schedule import schedule_assay
 
 GRID = ChipGrid(12, 12)
@@ -218,51 +218,106 @@ class TestApplyUndoProperty:
             assert ws_a.snapshot_blocks() == ws_b.snapshot_blocks()
 
 
-class TestOccupancyIndexThreshold:
-    def test_small_instance_skips_index(self):
-        workspace, _ = make_workspace()
-        assert len(FOOTPRINTS) < INDEX_SCAN_THRESHOLD
-        assert not workspace._use_index_scan
-        assert workspace._owner == {}
+_moves = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("translate"), st.integers(0, 7),
+            st.integers(-1, 11), st.integers(-1, 11),
+        ),
+        st.tuples(st.just("rotate"), st.integers(0, 7)),
+        st.tuples(st.just("swap"), st.integers(0, 7), st.integers(0, 7)),
+        st.tuples(
+            st.just("probe"), st.integers(0, 7),
+            st.integers(-1, 11), st.integers(-1, 11),
+            st.integers(1, 11), st.integers(1, 11),
+        ),
+    ),
+    max_size=40,
+)
 
-    def test_large_instance_uses_index(self):
-        footprints = {f"C{i}": (1, 1) for i in range(INDEX_SCAN_THRESHOLD)}
-        rng = random.Random(0)
-        placement = random_placement(ChipGrid(20, 20), footprints, rng)
-        assert placement is not None
-        priorities = ConnectionPriorities(priorities={("C0", "C1"): 1.0})
-        workspace = PlacementWorkspace(placement, priorities)
-        assert workspace._use_index_scan
-        assert len(workspace._owner) == len(footprints)
-        for _ in range(200):
-            move = propose_random(workspace, rng)
-            if move is not None:
-                workspace.commit(move)
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 10),
+    st.integers(3, 10),
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=8
+    ),
+    st.integers(0, 2**16),
+    _moves,
+)
+def test_row_mask_legality_matches_is_legal(width, height, dims, seed, moves):
+    """The row-bitmask ``_fits`` answers exactly what
+    ``Placement.is_legal()`` of the moved placement answers.
+
+    Random legal placements, then translate, rotate and swap moves
+    (legal ones are committed, so the masks keep changing), plus raw
+    ``_fits`` probes of arbitrary rectangles — out of bounds, on the
+    grid edges, and spanning the full grid in either axis.
+    """
+    grid = ChipGrid(width, height)
+    footprints = {f"C{i}": dim for i, dim in enumerate(dims)}
+    placement = random_placement(
+        grid, footprints, random.Random(seed),
+        attempts_per_component=20, whole_placement_attempts=2,
+    )
+    if placement is None:
+        return
+    workspace = PlacementWorkspace(placement, ConnectionPriorities(priorities={}))
+    components = workspace.components()
+    for move in moves:
+        current = workspace.snapshot()
+        cid = components[move[1] % len(components)]
+        block = workspace.block(cid)
+        if move[0] == "translate":
+            _, _, x, y = move
+            pending = workspace.propose_translate(cid, x, y)
+            expected = current.with_block(block.moved_to(x, y)).is_legal()
+        elif move[0] == "rotate":
+            pending = workspace.propose_rotate(cid)
+            expected = current.with_block(block.rotated()).is_legal()
+        elif move[0] == "swap":
+            other = components[move[2] % len(components)]
+            if other == cid:
+                continue
+            pending = workspace.propose_swap(cid, other)
+            other_block = workspace.block(other)
+            expected = current.with_blocks(
+                block.moved_to(other_block.x, other_block.y),
+                other_block.moved_to(block.x, block.y),
+            ).is_legal()
+        else:
+            _, _, x, y, w, h = move
+            candidate = PlacedComponent(cid, x, y, w, h)
+            assert workspace._fits(x, y, w, h, cid) == (
+                current.with_block(candidate).is_legal()
+            )
+            continue
+        assert (pending is not None) == expected, move
+        if pending is not None:
+            workspace.commit(pending)
+    workspace.check_consistency()
+
+
+def test_row_masks_track_blocks():
+    """Bit x of rows[y] is set exactly on the covered cells."""
+    workspace, rng = make_workspace(5)
+    for _ in range(300):
+        move = propose_random(workspace, rng)
+        if move is not None:
+            workspace.commit(move)
+    covered = {
+        (cell.x, cell.y) for cell in workspace.snapshot().occupied_cells()
+    }
+    assert {
+        (x, y)
+        for y, row in enumerate(workspace.rows)
+        for x in range(GRID.width)
+        if row >> x & 1
+    } == covered
+    workspace.rows[0] ^= 1
+    with pytest.raises(PlacementError, match="out of sync"):
         workspace.check_consistency()
-
-    def test_both_strategies_agree_on_legality(self):
-        """The algebraic loop and the index scan accept the same moves."""
-        footprints = {f"C{i}": (2, 2) for i in range(INDEX_SCAN_THRESHOLD)}
-        rng = random.Random(1)
-        placement = random_placement(ChipGrid(24, 24), footprints, rng)
-        assert placement is not None
-        priorities = ConnectionPriorities(priorities={("C0", "C1"): 1.0})
-        indexed = PlacementWorkspace(placement, priorities)
-        linear = PlacementWorkspace(placement, priorities)
-        linear._use_index_scan = False
-        linear._owner = {}
-        assert indexed._use_index_scan
-        for _ in range(500):
-            cid = rng.choice(indexed.components())
-            block = indexed.block(cid)
-            x = rng.randint(0, indexed.grid.width - block.width)
-            y = rng.randint(0, indexed.grid.height - block.height)
-            a = indexed.propose_translate(cid, x, y)
-            b = linear.propose_translate(cid, x, y)
-            assert (a is None) == (b is None)
-            if a is not None:
-                indexed.commit(a)
-                linear.commit(b)
 
 
 class TestEngineParity:
@@ -284,6 +339,36 @@ class TestEngineParity:
         assert inc.trials == ref.trials
         for cid in ref.placement.components():
             assert inc.placement.block(cid) == ref.placement.block(cid)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_parity_above_21_components(self, seed):
+        """More than 21 components: ``rng.sample`` takes CPython's
+        set-based branch, which the inlined swap draw must follow."""
+        footprints = {
+            f"C{i:02d}": ((1, 1), (2, 1), (1, 2), (2, 2))[i % 4]
+            for i in range(26)
+        }
+        names = sorted(footprints)
+        priorities = ConnectionPriorities(
+            priorities={
+                (names[i], names[(i * 7 + 3) % 26]): 1.0 + i % 5
+                for i in range(26)
+                if names[i] != names[(i * 7 + 3) % 26]
+            }
+        )
+        grid = ChipGrid(18, 18)
+        results = {
+            engine: anneal_placement(
+                grid, footprints, priorities, FAST, seed=seed, engine=engine
+            )
+            for engine in ("incremental", "reference")
+        }
+        ref = results["reference"]
+        inc = results["incremental"]
+        assert inc.trials == ref.trials
+        assert inc.accepted_moves == ref.accepted_moves
+        assert inc.energy_trace == ref.energy_trace
+        assert inc.placement.blocks() == ref.placement.blocks()
 
     def test_benchmark_parity_with_verification(self):
         """End-to-end parity on a real benchmark, with the incremental

@@ -11,6 +11,10 @@ Two layers:
 * :func:`find_path_flat` must return the identical path as the
   reference :func:`~repro.route.astar.find_path` on hand-built grids —
   including tie-break-sensitive and occupation-constrained cases.
+
+The engine's numpy kernels (admissibility masks, unreachability
+fast-reject, interval retirement, postponement fast-forward) have their
+own suite in ``test_flat2.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assay.fluids import Fluid
 from repro.errors import RoutingError, ValidationError
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
@@ -107,6 +112,7 @@ class TestFlatOccupancy:
 # ----------------------------------------------------------------------
 
 SLOT = TimeSlot(0.0, 2.0)
+FLUID = Fluid("sample", 1e-6)
 
 
 def make_pair(width=8, height=8, blocks=None, initial_weight=0.0):
@@ -124,6 +130,12 @@ def assert_same_path(reference, flat, sources, targets, slot, goal_slot=None):
     actual = find_path_flat(flat, sources, targets, slot, goal_slot)
     assert actual == expected
     return actual
+
+
+def commit_both(states, cells, slots, task_id="t1", wash=0.0):
+    """Commit one path on every state (reference grid and flat alike)."""
+    for state in states:
+        state.commit_path(tuple(cells), task_id, FLUID, list(slots), wash)
 
 
 class TestFindPathFlatParity:
@@ -181,11 +193,8 @@ class TestFindPathFlatParity:
 
     def test_occupied_cells_block_identically(self):
         reference, flat = make_pair()
-        busy = TimeSlot(0.0, 4.0)
-        for y in range(0, 7):
-            cell = Cell(3, y)
-            reference.slots(cell).add(busy)
-            flat.occupancy.add(flat.index(cell), busy.start, busy.end)
+        column = [Cell(3, y) for y in range(0, 7)]
+        commit_both((reference, flat), column, [TimeSlot(0.0, 4.0)] * 7)
         assert_same_path(
             reference, flat, [Cell(1, 1)], [Cell(5, 1)], TimeSlot(1.0, 3.0)
         )
@@ -193,9 +202,7 @@ class TestFindPathFlatParity:
     def test_goal_slot_respected(self):
         reference, flat = make_pair()
         target = Cell(6, 4)
-        late = TimeSlot(10.0, 12.0)
-        reference.slots(target).add(late)
-        flat.occupancy.add(flat.index(target), late.start, late.end)
+        commit_both((reference, flat), [target], [TimeSlot(10.0, 12.0)])
         assert_same_path(
             reference, flat,
             [Cell(1, 4)], [target, Cell(6, 5)],
@@ -222,14 +229,10 @@ class TestFlatRoutingState:
                 assert flat.is_free(cell, SLOT) == reference.is_free(cell, SLOT)
 
     def test_commit_replay_reproduces_reference_grid(self):
-        from repro.assay.fluids import Fluid
-
         reference, flat = make_pair()
         cells = (Cell(1, 1), Cell(2, 1), Cell(3, 1))
         slots = [TimeSlot(0.0, 3.0), TimeSlot(1.0, 4.0), TimeSlot(2.0, 5.0)]
-        fluid = Fluid("sample", 1e-6)
-        for state in (reference, flat):
-            state.commit_path(cells, "t1", fluid, list(slots), 2.5)
+        commit_both((reference, flat), cells, slots, wash=2.5)
         replayed = flat.to_routing_grid()
         for cell in cells:
             assert replayed.weight(cell) == reference.weight(cell)

@@ -1,14 +1,19 @@
-"""End-to-end parity: flat2 vs reference routing engine.
+"""End-to-end parity of the flat engine's kernels against the reference.
 
-Same contract as ``test_flat_parity`` one engine generation later: the
-vectorized ``flat2`` engine must produce the *identical* sequence of
-routed paths as the reference Cell/dict engine — same task order, same
-cell sequences, same occupation slots, same postponements — on every
-registered benchmark and both flows, with the strict design-rule
-checker passing on both sides.  The vectorized mask build, the
-unreachability fast-reject, and the postponement fast-forward are all
-live in these runs, so a soundness break in any of them shows up as a
-path difference here.
+``test_flat_parity`` pins path identity on seed 1.  This suite runs the
+other seed of the pinned-digest matrix (seed 0) and checks what the
+vectorized kernels of :mod:`repro.route.flat` could break beyond the
+paths themselves:
+
+* the postponement fast-forward bumps ``route.conflict_retries`` by the
+  skipped step count, so every routing counter (retries,
+  postponements, reroutes, self-loops, tasks routed) must equal the
+  reference's plain 1-second crawl exactly;
+* the final routing grid replayed from the flat state must hold the
+  reference's usage history, cell for cell and in order.
+
+The A* search counters are deliberately not compared: a search the
+unreachability fast-reject settles reports ``expanded=0``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.benchmarks.registry import SCALE_ORDER, TABLE1_ORDER, get_benchmark
 from repro.core.baseline import synthesize_problem_baseline
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
+from repro.obs.instrument import Instrumentation
 
 _FLOWS = {
     "ours": synthesize_problem,
@@ -26,7 +32,7 @@ _FLOWS = {
 }
 
 
-def routed_paths(name: str, flow: str, engine: str, seed: int = 1):
+def routed(name: str, flow: str, engine: str, seed: int = 0):
     params = SynthesisParameters(
         initial_temperature=50.0,
         min_temperature=1.0,
@@ -34,32 +40,41 @@ def routed_paths(name: str, flow: str, engine: str, seed: int = 1):
         iterations_per_temperature=25,
         seed=seed,
         route_engine=engine,
-        check="strict",  # the checker must pass on both engines' results
     )
     case = get_benchmark(name)
     problem = SynthesisProblem(
         assay=case.assay, allocation=case.allocation, parameters=params
     )
-    result = _FLOWS[flow](problem)
-    return tuple(
+    instrumentation = Instrumentation()
+    result = _FLOWS[flow](problem, instrumentation=instrumentation)
+    paths = tuple(
         (p.task.task_id, p.cells, p.slot, p.postponement)
         for p in result.routing.paths
     )
+    counters = {
+        key: value
+        for key, value in instrumentation.counters.items()
+        if key.startswith("route.")
+    }
+    return paths, counters, result.routing.grid.usage_history()
+
+
+def assert_engines_agree(name: str, flow: str) -> None:
+    flat = routed(name, flow, "flat")
+    reference = routed(name, flow, "reference")
+    assert flat[0]  # a vacuous pass would hide a broken pipeline
+    assert flat[0] == reference[0]
+    assert flat[1] == reference[1]
+    assert flat[2] == reference[2]
 
 
 class TestFlat2ReferencePathIdentity:
     @pytest.mark.parametrize("flow", ["ours", "baseline"])
     @pytest.mark.parametrize("name", list(TABLE1_ORDER) + ["Fig2a"])
     def test_benchmarks(self, name, flow):
-        flat2 = routed_paths(name, flow, "flat2")
-        reference = routed_paths(name, flow, "reference")
-        assert flat2  # a vacuous pass would hide a broken pipeline
-        assert flat2 == reference
+        assert_engines_agree(name, flow)
 
     @pytest.mark.parametrize("flow", ["ours", "baseline"])
     @pytest.mark.parametrize("name", SCALE_ORDER)
     def test_scale_tier(self, name, flow):
-        flat2 = routed_paths(name, flow, "flat2")
-        reference = routed_paths(name, flow, "reference")
-        assert flat2
-        assert flat2 == reference
+        assert_engines_agree(name, flow)

@@ -182,6 +182,9 @@ class TestJobLifecycle:
         for bad in (
             {"benchmark": "NoSuch"},
             {"benchmark": "PCR", "parameters": {"jobs": 4}},
+            {"benchmark": "PCR", "parameters": {"route_engine": "turbo"}},
+            # The retired flat2 name is refused like any unknown engine.
+            {"benchmark": "PCR", "parameters": {"route_engine": "flat2"}},
             {"benchmark": "PCR", "nonsense": 1},
             [1, 2, 3],
         ):
