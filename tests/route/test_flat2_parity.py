@@ -10,7 +10,8 @@ paths themselves:
   postponements, reroutes, self-loops, tasks routed) must equal the
   reference's plain 1-second crawl exactly;
 * the final routing grid replayed from the flat state must hold the
-  reference's usage history, cell for cell and in order.
+  reference's usage history, cell for cell and in order;
+* the strict design-rule checker must pass on both results.
 
 The A* search counters are deliberately not compared: a search the
 unreachability fast-reject settles reports ``expanded=0``.
@@ -40,6 +41,7 @@ def routed(name: str, flow: str, engine: str, seed: int = 0):
         iterations_per_temperature=25,
         seed=seed,
         route_engine=engine,
+        check="strict",  # the checker must pass on both engines' results
     )
     case = get_benchmark(name)
     problem = SynthesisProblem(
