@@ -348,20 +348,23 @@ def run_route_suite(
     repeats: int = 3,
     jobs: int = 1,
     check: str = "off",
+    fast_engine: str = "flat",
 ) -> list[RouteBenchComparison]:
-    """Time every benchmark under reference vs ``flat`` routing.
+    """Time every benchmark under reference vs *fast_engine* routing.
 
     The placement engine is pinned to ``incremental`` on both sides so
     the comparison isolates the routing phase; the scale tier
     (:data:`~repro.benchmarks.registry.SCALE_ORDER`) is the default
     name set because that is where routing dominates the pipeline.
+    *fast_engine* (``"flat"`` by default) fills each comparison's
+    ``flat`` side.
     Each comparison carries the path digests of both runs, so a parity
     break surfaces as ``paths_match=False`` in the committed artifact.
     """
     tasks = [
         (name, route_engine, seed, repeats, check)
         for name in names
-        for route_engine in ("reference", "flat")
+        for route_engine in ("reference", fast_engine)
     ]
     runs = run_tasks(_route_worker, tasks, jobs=jobs)
     comparisons = []

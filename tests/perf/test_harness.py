@@ -266,6 +266,14 @@ class TestRunRouteSuite:
         assert comparison.reference.paths_digest is not None
         assert comparison.paths_match
 
+    def test_fast_engine_override(self):
+        comparisons = run_route_suite(
+            ("PCR",), seed=1, repeats=1, fast_engine="flat"
+        )
+        comparison = comparisons[0]
+        assert comparison.flat.route_engine == "flat"
+        assert comparison.paths_match
+
     def test_validates_route_engine(self):
         with pytest.raises(ValueError, match="route engine"):
             run_engine("PCR", "incremental", route_engine="quantum")
