@@ -44,6 +44,12 @@ __all__ = [
 DIGEST_EXCLUDED_PARAMETERS = frozenset({"jobs"})
 
 
+#: ``json.dumps(…, sort_keys=True, separators=(",", ":"))`` builds this
+#: encoder on every call; sharing one (it keeps no per-call state)
+#: yields the same text without that cost.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(document: Any) -> str:
     """The one true serialisation digests are computed over.
 
@@ -52,7 +58,7 @@ def canonical_json(document: Any) -> str:
     back reproduces it byte for byte (floats serialise via ``repr``,
     which round-trips exactly).
     """
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(document)
 
 
 def text_digest(text: str | bytes) -> str:

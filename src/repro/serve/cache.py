@@ -21,9 +21,12 @@ Hit/miss counters live on the instance; the server republishes them as
 With a *limit*, the cache evicts least-recently-used entries
 (LRU-by-mtime: every hit — memory-warm or disk-cold — touches the
 entry file's mtime) once a :meth:`put` pushes the entry count over the
-bound.  Eviction only ever forgets a *reproducible* value: the flow is
-deterministic, so a re-request of an evicted entry re-synthesizes the
-byte-identical result text and re-caches it.
+bound.  Recency is recorded only while a limit is set: nothing reads
+the mtime otherwise, so an unlimited cache spends no syscall on a hit,
+and entries hit while the server ran without a limit age from their
+write time.  Eviction only ever forgets a *reproducible* value: the
+flow is deterministic, so a re-request of an evicted entry
+re-synthesizes the byte-identical result text and re-caches it.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ class ResultCache:
         self._memory: dict[str, str] = {}
         #: Keys known to exist on disk.  The cache directory is owned
         #: exclusively by this instance's process, so the index only
-        #: changes through :meth:`put` and eviction — misses then cost
-        #: one set lookup instead of a filesystem probe (measurable on
-        #: the service accept path, where every fresh submission
-        #: misses).
+        #: changes through :meth:`put`, eviction and failed reads —
+        #: misses then cost one set lookup instead of a filesystem
+        #: probe (measurable on the service accept path, where every
+        #: fresh submission misses), and :meth:`entries` is its size.
         self._known: set[str] = set()
         try:
             with os.scandir(self.root) as entries:
@@ -77,7 +80,10 @@ class ResultCache:
         self.evictions = 0
 
     def _touch(self, key: str) -> None:
-        """Refresh the entry's mtime — the LRU recency signal."""
+        """Refresh the entry's mtime — the LRU recency signal, read
+        only by eviction, so a no-op without a limit."""
+        if self.limit is None:
+            return
         try:
             os.utime(self._path(key))
         except OSError:
@@ -134,6 +140,8 @@ class ResultCache:
         try:
             text = self._path(key).read_text(encoding="utf-8")
         except OSError:
+            with self._lock:
+                self._known.discard(key)
             return None
         with self._lock:
             self._memory[key] = text
@@ -195,17 +203,16 @@ class ResultCache:
             self.on_evict(evicted)
 
     def entries(self) -> int:
-        """Number of entries on disk (authoritative across restarts)."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
+        """Number of entries on disk, counted from the index (rebuilt
+        by a directory scan at boot) rather than by globbing."""
+        return len(self._known)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "entries": self.entries(),
+                "entries": len(self._known),
                 "warm": len(self._memory),
                 "evictions": self.evictions,
                 "limit": self.limit,

@@ -22,8 +22,11 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 from urllib.parse import parse_qsl, unquote, urlsplit
+
+from repro.core.digest import canonical_json
 
 __all__ = [
     "HttpError",
@@ -179,26 +182,33 @@ def dumps_with_raw(payload: Any, raw: dict[str, str] | None = None) -> str:
     """Canonical JSON of *payload*, splicing pre-serialised fields in raw.
 
     *raw* maps top-level field names to already-canonical JSON text;
-    each is spliced into the output verbatim instead of being parsed
-    and re-serialised.  This is the cache-hit fast path **and** the
-    byte-identity guarantee: the stored result text reaches the wire
-    untouched.  Placeholders are random per call, so no client-supplied
-    value can collide with one.
+    each is spliced into the output verbatim, at its sorted key
+    position, instead of being parsed and re-serialised (a *raw* name
+    replaces a payload field of the same name).  This is the cache-hit
+    fast path **and** the byte-identity guarantee: the stored result
+    text reaches the wire untouched.  The non-raw fields between two
+    splices are serialised together, so the output equals
+    ``canonical_json`` of the merged document byte for byte.
     """
     if not raw:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    import secrets
-
-    document = dict(payload)
-    tokens: dict[str, str] = {}
-    for name, text in raw.items():
-        token = f"__raw_{secrets.token_hex(16)}__"
-        document[name] = token
-        tokens[token] = text
-    body = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    for token, text in tokens.items():
-        body = body.replace(f'"{token}"', text, 1)
-    return body
+        return canonical_json(payload)
+    pieces = ["{"]
+    run: dict[str, Any] = {}
+    for name in sorted(payload.keys() | raw.keys()):
+        text = raw.get(name)
+        if text is None:
+            run[name] = payload[name]
+            continue
+        if run:
+            pieces += (canonical_json(run)[1:-1], ",")
+            run = {}
+        pieces += (encode_basestring_ascii(name), ":", text, ",")
+    if run:
+        pieces.append(canonical_json(run)[1:-1])
+    else:
+        pieces.pop()  # the comma after the last splice
+    pieces.append("}")
+    return "".join(pieces)
 
 
 async def write_json(

@@ -135,6 +135,44 @@ class TestEviction:
         cache.put(KEY, TEXT)
         assert cache.get(KEY) == TEXT
 
+    def test_unlimited_hit_leaves_mtime_alone(self, tmp_path):
+        # Recency is only read by eviction: without a limit a hit —
+        # warm or disk-cold — spends no syscall recording it.
+        cache = ResultCache(tmp_path)
+        cache.put(KEY, TEXT)
+        _age(cache, KEY, 1000.0)
+        before = cache._path(KEY).stat().st_mtime
+        assert cache.get(KEY) == TEXT
+        assert ResultCache(tmp_path).get(KEY) == TEXT
+        assert cache._path(KEY).stat().st_mtime == before == 1000.0
+
+    def test_stats_entries_track_the_directory(self, tmp_path):
+        def on_disk() -> int:
+            return sum(1 for _ in tmp_path.glob("*.json"))
+
+        cache = ResultCache(tmp_path, limit=3)
+        for index in range(3):
+            cache.put(f"{index:02d}" * 32, f'{{"n":{index}}}')
+            _age(cache, f"{index:02d}" * 32, 1000.0 + index)
+        cache.put("00" * 32, '{"n":0}')  # overwrite: no new entry
+        assert cache.stats()["entries"] == on_disk() == 3
+        cache.put("ff" * 32, '{"n":9}')  # evicts the oldest
+        assert cache.stats()["evictions"] == 1
+        assert cache.stats()["entries"] == on_disk() == 3
+        (tmp_path / "ee.tmp-1-2").write_text("partial")  # not an entry
+        assert ResultCache(tmp_path).stats()["entries"] == on_disk() == 3
+
+    def test_failed_reads_drop_from_the_count(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(KEY, TEXT)
+        cache.put("cd" * 32, TEXT)
+        cold = ResultCache(tmp_path)
+        cache._path(KEY).unlink()  # lost behind the cache's back
+        assert cold.get(KEY) is None
+        (tmp_path / f"{'cd' * 32}.json").unlink()
+        assert cold.peek("cd" * 32) is None
+        assert cold.stats()["entries"] == 0
+
     def test_unlimited_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)
         for index in range(20):

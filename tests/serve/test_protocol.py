@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.benchmarks.registry import benchmark_names
 from repro.core.digest import problem_digest
 from repro.errors import ReproError
 from repro.serve.protocol import (
@@ -102,6 +103,128 @@ class TestParseSubmission:
             parse_submission(_pcr(job_id="a/b"))
         with pytest.raises(SubmissionError, match="characters"):
             parse_submission(_pcr(job_id="x" * 200))
+
+
+def _defaults(roundtrip: bool) -> dict:
+    """Every digest field of ``SynthesisParameters`` at its default:
+    the default objects themselves, or equal copies decoded from JSON."""
+    from dataclasses import fields
+
+    from repro.core.digest import DIGEST_EXCLUDED_PARAMETERS
+    from repro.core.problem import SynthesisParameters
+
+    defaults = SynthesisParameters()
+    document = {
+        f.name: getattr(defaults, f.name)
+        for f in fields(SynthesisParameters)
+        if f.name not in DIGEST_EXCLUDED_PARAMETERS
+    }
+    return json.loads(json.dumps(document)) if roundtrip else document
+
+
+#: Parameter documents whose digests must not depend on the path taken.
+_PARAMETER_DOCUMENTS = {
+    "none": None,
+    "seed": {"seed": 4},
+    "defaults": _defaults(roundtrip=False),
+    "defaults-from-json": _defaults(roundtrip=True),
+    "int-for-float": {"transport_time": 2},
+    "ints-non-default": {"cooling_rate": 1, "beta": 0},
+    "strings": {"route_engine": "reference", "check": "strict"},
+}
+
+
+class TestDigestFastPath:
+    """Benchmark submissions hash a cached prefix plus a parameters
+    text assembled from per-field fragments; the result must equal the
+    digest of the fully built problem."""
+
+    @pytest.mark.parametrize("algorithm", ["ours", "baseline"])
+    @pytest.mark.parametrize("params", sorted(_PARAMETER_DOCUMENTS))
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_equals_the_slow_path(self, name, params, algorithm):
+        from repro.serve.protocol import _build_problem
+
+        doc = {"benchmark": name, "algorithm": algorithm}
+        if _PARAMETER_DOCUMENTS[params] is not None:
+            doc["parameters"] = dict(_PARAMETER_DOCUMENTS[params])
+        submission = parse_submission(doc)
+        assert submission.digest == problem_digest(_build_problem(doc))
+
+    def test_int_for_float_changes_the_digest(self):
+        # 2 and 2.0 serialise differently, so an equal-but-not-identical
+        # value must not reuse the default's fragment.
+        assert (
+            parse_submission(
+                {"benchmark": "PCR", "parameters": {"transport_time": 2}}
+            ).digest
+            != parse_submission({"benchmark": "PCR"}).digest
+        )
+
+    @pytest.mark.parametrize(
+        "doc, digest",
+        [
+            (
+                {"benchmark": "PCR"},
+                "a4d609fede25d202dc0b4401f448086c"
+                "383fc7bf0ec1293d4a3c09c2ed4d4c23",
+            ),
+            (
+                {"benchmark": "PCR", "parameters": {"transport_time": 2.0}},
+                "a4d609fede25d202dc0b4401f448086c"
+                "383fc7bf0ec1293d4a3c09c2ed4d4c23",
+            ),
+            (
+                {"benchmark": "PCR", "parameters": {"transport_time": 2}},
+                "0fa34006df04448976a77514c9240f45"
+                "d0cc548365c779f12a14398c1fd0abbc",
+            ),
+            (
+                {"benchmark": "CPA", "parameters": {"seed": 7}},
+                "bc8f6b0420878f32fd938d39f835633f"
+                "b95becc8e337c8c47255cf47a1f11bf8",
+            ),
+            (
+                {"benchmark": "IVD", "parameters": {"transport_time": 2}},
+                "9e6cc74b16aa242be46f820d1bbc1d23"
+                "fcd9cf491dfe6f9c16361cd288a8c8f7",
+            ),
+            (
+                {
+                    "benchmark": "Synthetic1",
+                    "parameters": {
+                        "route_engine": "reference", "check": "strict",
+                    },
+                    "algorithm": "baseline",
+                },
+                "b109b2f6e5383794ce49ece0aa2a7aa9"
+                "12f07d4d64ceda967deda1b0182da79a",
+            ),
+            (
+                {
+                    "benchmark": "Scale200",
+                    "parameters": {
+                        "seed": 90001, "placement_engine": "batch",
+                        "sa_batch_size": 8,
+                    },
+                },
+                "b990a4cf98365d4edb0645338bf1ec66"
+                "0107b626cc73bffa6d2e45b1e80c8fbe",
+            ),
+            (
+                {
+                    "benchmark": "Fig2a",
+                    "parameters": {"cooling_rate": 0.95, "check": "report"},
+                },
+                "c8351be92b3dd6e99386549d2ed6d5fa"
+                "9d86faa5ee8ed3859f74fb165ba879f1",
+            ),
+        ],
+    )
+    def test_recorded_digests(self, doc, digest):
+        # Recorded before benchmark digests took the fragment path: a
+        # cache written by an older server must still be hit.
+        assert parse_submission(doc).digest == digest
 
 
 class TestResultDocument:
